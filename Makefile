@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench bench-json bench-engine bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
+.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench bench-json bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
 
 all: build vet lint test
 
@@ -54,12 +54,6 @@ bench:
 # Engine throughput (cold vs warm memo cache) as JSON for trend tracking.
 bench-json:
 	$(GO) run ./cmd/enginebench -out BENCH_engine.json
-
-# Batched vs scalar dispatch: the same sweep on both engine paths, with
-# bit-identity verified and allocations per point recorded (see
-# DESIGN.md §12). Fails if any value differs by a single bit.
-bench-engine:
-	$(GO) run ./cmd/enginebench -batch -out BENCH_engine.json
 
 # Every registered model family on the per-request scalar path vs the
 # compiled batched path, bit-identity verified per family (see

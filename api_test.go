@@ -131,14 +131,26 @@ func TestFacadeSimulator(t *testing.T) {
 	}
 }
 
+// paperSpace is the c2bound family's §IV grid subsampled to per values
+// per dimension (per ≤ 0: the full 10⁶-point space).
+func paperSpace(t *testing.T, per int) c2bound.DesignSpace {
+	t.Helper()
+	m, err := c2bound.BuildModel(c2bound.FluidanimateApp())
+	if err != nil {
+		t.Fatalf("BuildModel: %v", err)
+	}
+	space, err := c2bound.FamilyDesignSpace(m, per)
+	if err != nil {
+		t.Fatalf("FamilyDesignSpace: %v", err)
+	}
+	return space
+}
+
 func TestFacadeDSEAndAPS(t *testing.T) {
 	chipCfg := c2bound.DefaultChip()
-	space, err := c2bound.ReducedSpace(chipCfg, 3)
-	if err != nil {
-		t.Fatalf("ReducedSpace: %v", err)
-	}
-	if full, err := c2bound.PaperSpace(chipCfg); err != nil || full.Size() != 1000000 {
-		t.Fatalf("PaperSpace: %v %d", err, full.Size())
+	space := paperSpace(t, 3)
+	if full := paperSpace(t, 0); full.Size() != 1000000 {
+		t.Fatalf("full space holds %d points, want 10⁶", full.Size())
 	}
 	// Cheap evaluator through the facade types.
 	eval := c2bound.EvaluatorFunc(func(p []float64) float64 {
@@ -151,11 +163,10 @@ func TestFacadeDSEAndAPS(t *testing.T) {
 	if len(values) != space.Size() || len(report.Completed) != space.Size() {
 		t.Fatalf("sweep size = %d, completed = %d", len(values), len(report.Completed))
 	}
-	// The deprecated wrapper must agree with the v2 path.
-	legacy := c2bound.SweepSpace(eval, space, 2)
+	// The engine path must agree with evaluating each point directly.
 	for i := range values {
-		if values[i] != legacy[i] {
-			t.Fatalf("Sweep and SweepSpace disagree at %d: %v vs %v", i, values[i], legacy[i])
+		if want := eval(space.Point(i)); values[i] != want {
+			t.Fatalf("Sweep disagrees with the evaluator at %d: %v vs %v", i, values[i], want)
 		}
 	}
 	app := c2bound.FluidanimateApp()
@@ -174,10 +185,7 @@ func TestFacadeDSEAndAPS(t *testing.T) {
 
 func TestFacadeV2Options(t *testing.T) {
 	chipCfg := c2bound.DefaultChip()
-	space, err := c2bound.ReducedSpace(chipCfg, 3)
-	if err != nil {
-		t.Fatalf("ReducedSpace: %v", err)
-	}
+	space := paperSpace(t, 3)
 	eval := c2bound.EvaluatorFunc(func(p []float64) float64 {
 		return 1000/p[3] + p[0] + 100/p[5] + 10/p[4] + 1/p[1] + 1/p[2]
 	})

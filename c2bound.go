@@ -1,8 +1,6 @@
 package c2bound
 
 import (
-	"context"
-
 	"repro/internal/aps"
 	"repro/internal/baselines"
 	"repro/internal/camat"
@@ -187,27 +185,11 @@ type (
 	EvaluatorFunc = dse.EvaluatorFunc
 	// SimEvaluator scores configurations with the simulator.
 	SimEvaluator = dse.SimEvaluator
-	// APSOptions tunes the APS flow.
-	APSOptions = aps.Options
 	// APSResult is the APS outcome, including the simulation count.
 	APSResult = aps.Result
 	// ANNSearch is the predictive-modelling DSE baseline (ref [2]).
 	ANNSearch = aps.ANNSearch
 )
-
-// PaperSpace returns the 10⁶-point §IV design space for the chip budget.
-//
-// Deprecated: use FamilyDesignSpace(m, 0) with a BuildModel c2bound
-// model — the family-generic form of the same grids, which also serves
-// every other registered family.
-func PaperSpace(cfg ChipConfig) (DesignSpace, error) { return dse.PaperSpace(cfg) }
-
-// ReducedSpace subsamples PaperSpace to per values per dimension.
-//
-// Deprecated: use FamilyDesignSpace(m, per) with a BuildModel c2bound
-// model — the family-generic form of the same grids, which also serves
-// every other registered family.
-func ReducedSpace(cfg ChipConfig, per int) (DesignSpace, error) { return dse.ReducedSpace(cfg, per) }
 
 // NewSimEvaluator builds a simulator-backed evaluator for a fixed-size
 // workload of totalRefs references.
@@ -215,24 +197,11 @@ func NewSimEvaluator(cfg ChipConfig, workload string, wsBytes uint64, meanGap fl
 	return dse.NewSimEvaluator(cfg, workload, wsBytes, meanGap, totalRefs, seed)
 }
 
-// SweepSpace brute-forces a space in parallel (the ground-truth path).
-//
-// Deprecated: use Sweep, the context-first form with retries,
-// checkpoint/resume and observability (adapt plain evaluators with
-// AdaptEvaluator).
-func SweepSpace(e Evaluator, s DesignSpace, workers int) []float64 {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper; use Sweep for cancellation
-	return dse.Sweep(context.Background(), e, s, workers)
-}
-
 // Resilient exploration (cancellation, retries, checkpoint/resume).
 type (
 	// CtxEvaluator is a context-aware, fallible evaluator; SimEvaluator
 	// implements it, and AdaptEvaluator lifts a plain Evaluator.
 	CtxEvaluator = dse.CtxEvaluator
-	// SweepOptions tunes the resilient sweep: workers, retry policy,
-	// timeout, and checkpoint/resume.
-	SweepOptions = dse.SweepOptions
 	// SweepReport is the structured outcome of a resilient sweep:
 	// completed/failed/pending indices, retry counts and wall time.
 	SweepReport = dse.SweepReport
@@ -249,8 +218,7 @@ type (
 	// Engine owns the worker pool, the LRU memo cache, in-flight
 	// deduplication and the retry/panic-isolation machinery. One engine
 	// can serve the analytic optimizer, DSE sweeps and APS concurrently;
-	// OptimizeOptions.Engine, SweepOptions.Engine and APSOptions.Engine
-	// attach it.
+	// the WithEngine option (or OptimizeOptions.Engine) attaches it.
 	Engine = engine.Engine
 	// EngineOptions configures a new engine (workers, cache capacity,
 	// retry policy).
@@ -328,25 +296,6 @@ func NewModelCatalog() *ModelCatalog { return server.DefaultCatalog() }
 
 // AdaptEvaluator lifts a plain Evaluator to the context-aware interface.
 func AdaptEvaluator(e Evaluator) CtxEvaluator { return dse.WithContext(e) }
-
-// SweepSpaceCtx is SweepSpace with cancellation, deadlines, retries,
-// panic isolation and optional checkpoint/resume. Partial results and
-// the report are valid even when the returned error is non-nil.
-//
-// Deprecated: use Sweep, the functional-options form of the same call.
-func SweepSpaceCtx(ctx context.Context, e CtxEvaluator, s DesignSpace, opts SweepOptions) ([]float64, SweepReport, error) {
-	return dse.SweepCtx(ctx, e, s, nil, opts)
-}
-
-// RunAPSCtx executes the Analysis-Plus-Simulation flow with struct
-// options: cancellation propagates into the analytic scan and every
-// simulator invocation, and the simulated slice retries transient
-// failures per opts.Sweep.Retry.
-//
-// Deprecated: use RunAPS, the functional-options form of the same call.
-func RunAPSCtx(ctx context.Context, m Model, space DesignSpace, eval CtxEvaluator, opts APSOptions) (APSResult, error) {
-	return aps.RunCtx(ctx, m, space, eval, opts)
-}
 
 // Baselines (§VI).
 

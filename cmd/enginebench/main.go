@@ -8,22 +8,14 @@
 // Usage:
 //
 //	enginebench [-out file] [-per k] [-rounds n] [-workers n]
-//	            [-batch] [-families] [-obs file] [-server] [-tenants]
+//	            [-families] [-obs file] [-server] [-tenants]
 //	            [-cluster] [-cluster-peers n] [-clients n] [-duration d]
 //	            [-trace out.json] [-metrics] [-cpuprofile out.pprof]
 //
-// With -batch the command runs the benchmark twice — once with the
-// engine's batched dispatch disabled (scalar per-point path) and once
-// with it enabled — verifies the two sweeps produce bit-identical
-// values, and writes both reports plus the batch-over-scalar speedups
-// and allocations per point (typically to BENCH_engine.json via
-// `make bench-engine`). The run fails if any value differs by a single
-// bit.
-//
 // With -families the command benchmarks every registered model family
 // through the family-generic path: for each family it measures the cold
-// scalar per-point rate (memoization disabled, batched dispatch
-// disabled), the cold batched rate through the family's compiled kernel,
+// per-request rate (one point per engine call, as POST /v1/evaluate
+// dispatches it), the cold batched rate through the family's compiled kernel,
 // and the warm cache-hit rate, verifying the scalar and batched sweeps
 // are bit-identical before writing the per-family table (typically to
 // BENCH_families.json via `make bench-families`). Small family spaces
@@ -73,7 +65,6 @@ import (
 	"log"
 	"math"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/chip"
@@ -86,29 +77,14 @@ import (
 
 // report is the JSON document written to -out.
 type report struct {
-	Space        int     `json:"space_points"`
-	Rounds       int     `json:"rounds"`
-	Workers      int     `json:"workers"`
-	ColdEvalsSec float64 `json:"cold_evals_per_sec"`
-	WarmEvalsSec float64 `json:"warm_evals_per_sec"`
-	Speedup      float64 `json:"warm_over_cold"`
-	// ColdAllocsPerPoint / WarmAllocsPerPoint are heap allocations per
-	// design point (only measured in -batch mode).
-	ColdAllocsPerPoint float64      `json:"cold_allocs_per_point,omitempty"`
-	WarmAllocsPerPoint float64      `json:"warm_allocs_per_point,omitempty"`
-	Cold               engine.Stats `json:"cold_stats"`
-	Warm               engine.Stats `json:"warm_stats"`
-}
-
-// batchReport is the JSON document written by -batch: the same sweep on
-// the scalar and the batched engine path, the batch-over-scalar
-// speedups, and the bit-identity verdict.
-type batchReport struct {
-	Scalar       report  `json:"scalar"`
-	Batched      report  `json:"batched"`
-	ColdSpeedup  float64 `json:"batched_over_scalar_cold"`
-	WarmSpeedup  float64 `json:"batched_over_scalar_warm"`
-	BitIdentical bool    `json:"bit_identical"`
+	Space        int          `json:"space_points"`
+	Rounds       int          `json:"rounds"`
+	Workers      int          `json:"workers"`
+	ColdEvalsSec float64      `json:"cold_evals_per_sec"`
+	WarmEvalsSec float64      `json:"warm_evals_per_sec"`
+	Speedup      float64      `json:"warm_over_cold"`
+	Cold         engine.Stats `json:"cold_stats"`
+	Warm         engine.Stats `json:"warm_stats"`
 }
 
 // familyReport is one model family's row in -families mode.
@@ -148,7 +124,6 @@ func main() {
 	per := flag.Int("per", 4, "design-space values per dimension")
 	rounds := flag.Int("rounds", 3, "warm passes over the space")
 	workers := flag.Int("workers", 0, "engine parallelism (0 = GOMAXPROCS)")
-	batchMode := flag.Bool("batch", false, "run the scalar-vs-batched dispatch comparison (verifies bit-identical values)")
 	familiesMode := flag.Bool("families", false, "benchmark every registered model family (cold scalar vs cold batched vs warm, bit-identity verified)")
 	obsOut := flag.String("obs", "", "run disabled-vs-enabled observability comparison and write it to this JSON file")
 	serverMode := flag.Bool("server", false, "benchmark the HTTP serving path (c2bound-server) instead of the in-process engine")
@@ -174,10 +149,6 @@ func main() {
 		}()
 	}
 
-	if *batchMode {
-		runBatchCompare(*out, *per, *rounds, *workers)
-		return
-	}
 	if *familiesMode {
 		runFamiliesBench(*out, *per, *rounds, *workers)
 		return
@@ -231,57 +202,35 @@ func main() {
 // runBench runs one cold pass and -rounds warm passes on a fresh engine
 // carrying the given (possibly nil) tracer and registry.
 func runBench(per, rounds, workers int, tracer *obs.Tracer, metrics *obs.Registry) report {
-	rep, _ := runBenchPath(per, rounds, workers, false, false, tracer, metrics)
-	return rep
-}
-
-// runBenchPath is runBench with the dispatch path pinned (scalar when
-// disableBatch) and optional allocation metering; it also returns the
-// cold sweep's values so -batch can compare the two paths bit for bit.
-func runBenchPath(per, rounds, workers int, disableBatch, meterAllocs bool, tracer *obs.Tracer, metrics *obs.Registry) (report, []float64) {
 	m := core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}
 	space, err := dse.ReducedSpace(m.Chip, per)
 	if err != nil {
 		log.Fatalf("space: %v", err)
 	}
 	eval := &dse.ModelEvaluator{Model: m}
-	eng := engine.New(engine.Options{Workers: workers, Tracer: tracer, Metrics: metrics, DisableBatch: disableBatch})
+	eng := engine.New(engine.Options{Workers: workers, Tracer: tracer, Metrics: metrics})
 	ctx := context.Background()
 	ctx = obs.ContextWithTracer(ctx, tracer)
 	ctx = obs.ContextWithMetrics(ctx, metrics)
 
-	sweep := func() []float64 {
-		values, _, err := dse.SweepCtx(ctx, eval, space, nil, dse.SweepOptions{Engine: eng})
-		if err != nil {
+	sweep := func() {
+		if _, _, err := dse.SweepCtx(ctx, eval, space, nil, dse.SweepOptions{Engine: eng}); err != nil {
 			log.Fatalf("sweep: %v", err)
 		}
-		return values
-	}
-	mallocs := func() uint64 {
-		if !meterAllocs {
-			return 0
-		}
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.Mallocs
 	}
 
 	// Cold pass: every point computed.
-	allocs0 := mallocs()
 	start := time.Now()
-	values := sweep()
+	sweep()
 	coldDur := time.Since(start)
-	coldAllocs := mallocs() - allocs0
 	coldStats := eng.Stats()
 
 	// Warm passes: the same points, served from cache.
-	allocs0 = mallocs()
 	start = time.Now()
 	for i := 0; i < rounds; i++ {
 		sweep()
 	}
 	warmDur := time.Since(start)
-	warmAllocs := mallocs() - allocs0
 	warmStats := eng.Stats().Delta(coldStats)
 
 	rep := report{
@@ -296,46 +245,7 @@ func runBenchPath(per, rounds, workers int, disableBatch, meterAllocs bool, trac
 	if rep.ColdEvalsSec > 0 {
 		rep.Speedup = rep.WarmEvalsSec / rep.ColdEvalsSec
 	}
-	if meterAllocs && space.Size() > 0 {
-		rep.ColdAllocsPerPoint = float64(coldAllocs) / float64(space.Size())
-		rep.WarmAllocsPerPoint = float64(warmAllocs) / float64(space.Size()*rounds)
-	}
-	return rep, values
-}
-
-// runBatchCompare measures the batched dispatch against the scalar
-// per-point path on identical sweeps and verifies the values agree bit
-// for bit before writing the comparison (the BENCH_engine.json gate).
-func runBatchCompare(out string, per, rounds, workers int) {
-	fmt.Println("pass 1/2: batched dispatch disabled (scalar per-point path)...")
-	scalar, scalarVals := runBenchPath(per, rounds, workers, true, true, nil, nil)
-
-	fmt.Println("pass 2/2: batched dispatch enabled...")
-	batched, batchedVals := runBenchPath(per, rounds, workers, false, true, nil, nil)
-
-	cmp := batchReport{Scalar: scalar, Batched: batched, BitIdentical: true}
-	if len(scalarVals) != len(batchedVals) {
-		log.Fatalf("value lengths diverge: scalar %d, batched %d", len(scalarVals), len(batchedVals))
-	}
-	for i := range scalarVals {
-		if math.Float64bits(scalarVals[i]) != math.Float64bits(batchedVals[i]) {
-			log.Fatalf("bit mismatch at point %d: scalar %v (%016x), batched %v (%016x)",
-				i, scalarVals[i], math.Float64bits(scalarVals[i]),
-				batchedVals[i], math.Float64bits(batchedVals[i]))
-		}
-	}
-	if scalar.ColdEvalsSec > 0 {
-		cmp.ColdSpeedup = batched.ColdEvalsSec / scalar.ColdEvalsSec
-	}
-	if scalar.WarmEvalsSec > 0 {
-		cmp.WarmSpeedup = batched.WarmEvalsSec / scalar.WarmEvalsSec
-	}
-	writeJSON(out, cmp)
-	fmt.Printf("scalar : cold %.0f, warm %.0f evals/s (%.2f / %.2f allocs per point)\n",
-		scalar.ColdEvalsSec, scalar.WarmEvalsSec, scalar.ColdAllocsPerPoint, scalar.WarmAllocsPerPoint)
-	fmt.Printf("batched: cold %.0f, warm %.0f evals/s (%.2f / %.2f allocs per point)\n",
-		batched.ColdEvalsSec, batched.WarmEvalsSec, batched.ColdAllocsPerPoint, batched.WarmAllocsPerPoint)
-	fmt.Printf("speedup: cold %.1fx, warm %.1fx, bit-identical → %s\n", cmp.ColdSpeedup, cmp.WarmSpeedup, out)
+	return rep
 }
 
 // familyBenchSpace returns the sweep space for one family's benchmark:
@@ -430,7 +340,7 @@ func runFamiliesBench(out string, per, rounds, workers int) {
 		scalarVals := make([]float64, len(sub))
 		scalarRate := 0.0
 		for r := 0; r < 2; r++ {
-			eng := engine.New(engine.Options{Workers: workers, DisableBatch: true})
+			eng := engine.New(engine.Options{Workers: workers})
 			start := time.Now()
 			for i, p := range sub {
 				rm, err := model.New(name, cfg)

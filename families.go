@@ -37,8 +37,8 @@ type (
 	ModelSpace = model.Space
 	// ModelSpaceParam is one declared dimension: name, domain, grid.
 	ModelSpaceParam = model.Param
-	// FamilyEvaluator scores any family through the engine: scalar path
-	// for single points, compiled kernel for batched planes.
+	// FamilyEvaluator scores any family through the engine's compiled
+	// kernel; its scalar EvaluateCtx is the direct evaluation.
 	FamilyEvaluator = dse.FamilyEvaluator
 	// FamilyOptimum is the outcome of OptimizeFamily's grid scan.
 	FamilyOptimum = aps.ModelResult
@@ -122,7 +122,7 @@ func NewFamilyEvaluator(m FamilyModel) *FamilyEvaluator {
 // FamilyDesignSpace converts a family's declared space into a sweep
 // grid, subsampled to at most per values per dimension (per ≤ 0 keeps
 // the family's full default grids). For the c2bound family it equals
-// ReducedSpace/PaperSpace.
+// the paper's §IV grids (the 10⁶-point space at per ≤ 0).
 func FamilyDesignSpace(m FamilyModel, per int) (DesignSpace, error) {
 	return dse.SpaceFor(m, per)
 }
@@ -146,7 +146,6 @@ func OptimizeFamily(ctx context.Context, m FamilyModel, per int, opts ...Option)
 			CheckpointPath:  c.checkpoint,
 			CheckpointEvery: c.every,
 			Resume:          c.resume,
-			DisableBatch:    c.disableBatch,
 		},
 	})
 }

@@ -4,12 +4,12 @@
 //
 //	EvaluateBatch(ctx context.Context, points [][]float64, out []float64) error
 //
-// method) must also carry the scalar EvaluateCtx method. The engine's
-// chunked dispatch, the in-flight dedup fallback and the differential
-// tests all assume the two paths coexist on the same value: a
-// batch-only type would be routed point-by-point through a scalar
-// method it does not have, or — worse — silently skip the engine's
-// scalar contract the bit-identity tests compare against.
+// method) must also carry the scalar EvaluateCtx method. The engine
+// accepts evaluators as robust.Evaluator, and the differential tests
+// use the scalar method as the oracle the batched kernel must match bit
+// for bit: a batch-only type could not be dispatched at all, or — worse
+// — would carry no scalar contract for the bit-identity tests to
+// compare against.
 //
 // The analyzer inspects every package-level defined type, matches the
 // exact batch signature (so unrelated EvaluateBatch methods pass), and
@@ -55,7 +55,7 @@ func run(pass *analysis.Pass) error {
 		}
 		if lookupMethod(mset, "EvaluateCtx") == nil {
 			pass.Reportf(tn.Pos(),
-				"%s implements EvaluateBatch without the scalar EvaluateCtx; the engine's per-point fallback (dedup, retries, anonymous dispatch) requires both", name)
+				"%s implements EvaluateBatch without the scalar EvaluateCtx; the engine's evaluator contract and the bit-identity oracle require both", name)
 		}
 	}
 	return nil

@@ -126,11 +126,10 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 	eng := opts.Engine
 	if eng == nil {
 		eng = engine.New(engine.Options{
-			Workers:      opts.Workers,
-			Retry:        opts.Sweep.Retry,
-			Tracer:       tr,
-			Metrics:      obs.MetricsFrom(ctx),
-			DisableBatch: opts.Sweep.DisableBatch,
+			Workers: opts.Workers,
+			Retry:   opts.Sweep.Retry,
+			Tracer:  tr,
+			Metrics: obs.MetricsFrom(ctx),
 		})
 	}
 	stats0 := eng.Stats()

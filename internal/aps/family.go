@@ -67,11 +67,10 @@ func RunModelCtx(ctx context.Context, m model.Model, opts ModelOptions) (ModelRe
 	eng := opts.Engine
 	if eng == nil {
 		eng = engine.New(engine.Options{
-			Workers:      opts.Workers,
-			Retry:        opts.Sweep.Retry,
-			Tracer:       tr,
-			Metrics:      obs.MetricsFrom(ctx),
-			DisableBatch: opts.Sweep.DisableBatch,
+			Workers: opts.Workers,
+			Retry:   opts.Sweep.Retry,
+			Tracer:  tr,
+			Metrics: obs.MetricsFrom(ctx),
 		})
 	}
 	stats0 := eng.Stats()

@@ -14,9 +14,11 @@ import (
 )
 
 // The differential suite pins the central batched-evaluation invariant:
-// the batch path must be indistinguishable from the scalar path — same
-// bits, same cache accounting, same sweep optimum — across every catalog
-// model, with and without injected faults.
+// a sweep through the engine — compiled kernel, chunked dispatch, memo
+// cache — must be indistinguishable from the scalar oracle, the model's
+// own Evaluate called point by point outside the engine: same bits and
+// same optimum across every catalog model, with and without injected
+// faults.
 
 func diffModels() []core.Model {
 	cfg := chip.DefaultConfig()
@@ -28,35 +30,72 @@ func diffModels() []core.Model {
 	}
 }
 
-// runDiffSweep sweeps the whole space twice on one engine (cold pass then
-// warm pass) and returns the final values plus the engine's stats.
-func runDiffSweep(t *testing.T, ev CtxEvaluator, s Space, disableBatch bool, passes int) ([]float64, engine.Stats) {
+// runDiffSweep sweeps the whole space `passes` times on one engine and
+// returns the final values plus the engine's stats after each pass.
+func runDiffSweep(t *testing.T, ev CtxEvaluator, s Space, passes int) ([]float64, []engine.Stats) {
 	t.Helper()
 	eng := engine.New(engine.Options{
-		Workers:      4,
-		CacheSize:    s.Size() + 16,
-		Retry:        robust.RetryPolicy{MaxAttempts: 10},
-		DisableBatch: disableBatch,
+		Workers:   4,
+		CacheSize: s.Size() + 16,
+		Retry:     robust.RetryPolicy{MaxAttempts: 10},
 	})
 	var values []float64
+	var stats []engine.Stats
 	for p := 0; p < passes; p++ {
 		var rep SweepReport
 		var err error
 		values, rep, err = SweepCtx(context.Background(), ev, s, nil, SweepOptions{Engine: eng})
 		if err != nil {
-			t.Fatalf("sweep (disableBatch=%v pass=%d): %v", disableBatch, p, err)
+			t.Fatalf("sweep pass %d: %v", p, err)
 		}
 		if len(rep.Failed) != 0 {
-			t.Fatalf("sweep (disableBatch=%v pass=%d): %d points failed, first %+v",
-				disableBatch, p, len(rep.Failed), rep.Failed[0])
+			t.Fatalf("sweep pass %d: %d points failed, first %+v", p, len(rep.Failed), rep.Failed[0])
 		}
+		stats = append(stats, eng.Stats())
 	}
-	return values, eng.Stats()
+	return values, stats
 }
 
-// TestDifferentialBatchVsScalar runs the same sweep through the batched
-// and the scalar engine paths for every catalog model and demands
-// bit-identical values, identical cache accounting, and the same optimum.
+// scalarOracle evaluates every point of s with a fresh ModelEvaluator's
+// EvaluateCtx — core.Model.Evaluate, outside the engine.
+func scalarOracle(t *testing.T, m core.Model, s Space) []float64 {
+	t.Helper()
+	ev := &ModelEvaluator{Model: m}
+	vals := make([]float64, s.Size())
+	for i := range vals {
+		v, err := ev.EvaluateCtx(context.Background(), s.Point(i))
+		if err != nil {
+			t.Fatalf("oracle point %d: %v", i, err)
+		}
+		vals[i] = v
+	}
+	return vals
+}
+
+// assertBitIdentical fails on the first index where got and want differ
+// by a single bit, and when their optima differ.
+func assertBitIdentical(t *testing.T, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("value lengths differ: %d vs %d", len(got), len(want))
+	}
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("index %d: engine %x (%v) != oracle %x (%v)",
+				i, math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+		}
+	}
+	gi, gv := Best(got)
+	wi, wv := Best(want)
+	if gi != wi || math.Float64bits(gv) != math.Float64bits(wv) {
+		t.Fatalf("optima diverge: engine (%d, %v) oracle (%d, %v)", gi, gv, wi, wv)
+	}
+}
+
+// TestDifferentialBatchVsScalar sweeps every catalog model through
+// the engine, cold then warm, and demands bit-identical values and
+// optimum against the scalar oracle plus the closed-form accounting: n
+// evaluations and n misses on the cold pass, n hits on the warm pass.
 func TestDifferentialBatchVsScalar(t *testing.T) {
 	for _, m := range diffModels() {
 		m := m
@@ -66,36 +105,16 @@ func TestDifferentialBatchVsScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReducedSpace: %v", err)
 			}
-			// Fresh evaluators per path: the sync.Once-guarded compiled
-			// kernel must agree with the scalar model on its own, not by
-			// sharing state.
-			batchVals, batchStats := runDiffSweep(t, &ModelEvaluator{Model: m}, s, false, 2)
-			scalVals, scalStats := runDiffSweep(t, &ModelEvaluator{Model: m}, s, true, 2)
+			vals, stats := runDiffSweep(t, &ModelEvaluator{Model: m}, s, 2)
+			assertBitIdentical(t, vals, scalarOracle(t, m, s))
 
-			if len(batchVals) != len(scalVals) {
-				t.Fatalf("value lengths differ: %d vs %d", len(batchVals), len(scalVals))
-			}
-			for i := range batchVals {
-				if math.Float64bits(batchVals[i]) != math.Float64bits(scalVals[i]) {
-					t.Fatalf("index %d: batch %x (%v) != scalar %x (%v)",
-						i, math.Float64bits(batchVals[i]), batchVals[i],
-						math.Float64bits(scalVals[i]), scalVals[i])
-				}
-			}
-			if batchStats.Requests != scalStats.Requests ||
-				batchStats.Evaluations != scalStats.Evaluations ||
-				batchStats.CacheHits != scalStats.CacheHits ||
-				batchStats.CacheMisses != scalStats.CacheMisses {
-				t.Fatalf("stats diverge: batch %+v scalar %+v", batchStats, scalStats)
-			}
 			n := uint64(s.Size())
-			if batchStats.Evaluations != n || batchStats.CacheHits != n {
-				t.Fatalf("want %d evaluations and %d warm hits, got %+v", n, n, batchStats)
+			cold, warm := stats[0], stats[1].Delta(stats[0])
+			if cold.Requests != n || cold.Evaluations != n || cold.CacheMisses != n || cold.CacheHits != 0 {
+				t.Fatalf("cold pass: want %d requests, evaluations and misses, got %+v", n, cold)
 			}
-			bi, bv := Best(batchVals)
-			si, sv := Best(scalVals)
-			if bi != si || math.Float64bits(bv) != math.Float64bits(sv) {
-				t.Fatalf("optima diverge: batch (%d, %v) scalar (%d, %v)", bi, bv, si, sv)
+			if warm.Requests != n || warm.CacheHits != n || warm.Evaluations != 0 || warm.CacheMisses != 0 {
+				t.Fatalf("warm pass: want %d requests and hits, got %+v", n, warm)
 			}
 		})
 	}
@@ -105,8 +124,9 @@ func TestDifferentialBatchVsScalar(t *testing.T) {
 var errTransient = errors.New("injected transient fault")
 
 // faultInjector wraps a batch-capable evaluator and fails the first
-// attempt for a deterministic ~20% of points, on both the scalar and the
-// batched path, so the differential test exercises the retry machinery.
+// attempt for a deterministic ~20% of points, on both its scalar and its
+// batched method, so the differential test exercises the retry
+// machinery.
 type faultInjector struct {
 	inner *ModelEvaluator
 
@@ -172,10 +192,10 @@ func (f *faultInjector) Fingerprint() string {
 	return "dse.faulty{" + f.inner.Fingerprint() + "}"
 }
 
-// TestDifferentialBatchVsScalarWithFaults repeats the differential check
-// with ~20% of points failing their first attempt. Retry counts differ by
-// construction (a batch retries its whole chunk), so only values and
-// optima must match — and they must match the fault-free run too.
+// TestDifferentialBatchVsScalarWithFaults repeats the
+// differential check with ~20% of points failing their first attempt:
+// the retried engine sweep must still match the scalar oracle bit for
+// bit.
 func TestDifferentialBatchVsScalarWithFaults(t *testing.T) {
 	for _, m := range diffModels() {
 		m := m
@@ -185,10 +205,6 @@ func TestDifferentialBatchVsScalarWithFaults(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReducedSpace: %v", err)
 			}
-			cleanVals, _ := runDiffSweep(t, &ModelEvaluator{Model: m}, s, false, 1)
-			batchVals, _ := runDiffSweep(t, newFaultInjector(m), s, false, 1)
-			scalVals, _ := runDiffSweep(t, newFaultInjector(m), s, true, 1)
-
 			faulty := 0
 			for i := 0; i < s.Size(); i++ {
 				if shouldFail(pointKey(s.Point(i))) {
@@ -198,17 +214,11 @@ func TestDifferentialBatchVsScalarWithFaults(t *testing.T) {
 			if faulty == 0 {
 				t.Fatal("fault pattern never fired; the test is vacuous")
 			}
-			for i := range batchVals {
-				bb, sb, cb := math.Float64bits(batchVals[i]), math.Float64bits(scalVals[i]), math.Float64bits(cleanVals[i])
-				if bb != sb || bb != cb {
-					t.Fatalf("index %d: batch %v scalar %v clean %v", i, batchVals[i], scalVals[i], cleanVals[i])
-				}
+			vals, stats := runDiffSweep(t, newFaultInjector(m), s, 1)
+			if stats[0].Retries == 0 {
+				t.Fatalf("no retries despite %d faulty points: %+v", faulty, stats[0])
 			}
-			bi, bv := Best(batchVals)
-			ci, cv := Best(cleanVals)
-			if bi != ci || math.Float64bits(bv) != math.Float64bits(cv) {
-				t.Fatalf("faulty optimum (%d, %v) != clean optimum (%d, %v)", bi, bv, ci, cv)
-			}
+			assertBitIdentical(t, vals, scalarOracle(t, m, s))
 		})
 	}
 }

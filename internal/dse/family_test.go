@@ -81,8 +81,8 @@ func TestFamilyEvaluatorMatchesModelEvaluator(t *testing.T) {
 }
 
 // TestFamilyBatchMatchesScalar is the per-family engine differential:
-// the batched path (compiled kernel, chunked dispatch) must be
-// bit-identical to the scalar per-point path for every family.
+// the engine's batched path (compiled kernel, chunked dispatch) must be
+// bit-identical to the family's scalar EvaluateCtx for every family.
 func TestFamilyBatchMatchesScalar(t *testing.T) {
 	for _, name := range model.Names() {
 		t.Run(name, func(t *testing.T) {
@@ -96,18 +96,19 @@ func TestFamilyBatchMatchesScalar(t *testing.T) {
 				points[i] = s.Point(i)
 			}
 			ctx := context.Background()
-			run := func(disableBatch bool) []float64 {
-				eng := engine.New(engine.Options{Workers: 4, DisableBatch: disableBatch})
-				out := make([]float64, len(points))
-				if err := eng.EvaluateBatch(ctx, NewFamilyEvaluator(m), points, out); err != nil {
+			batched := make([]float64, len(points))
+			eng := engine.New(engine.Options{Workers: 4})
+			if err := eng.EvaluateBatch(ctx, NewFamilyEvaluator(m), points, batched); err != nil {
+				t.Fatal(err)
+			}
+			oracle := NewFamilyEvaluator(m)
+			for i, p := range points {
+				scalar, err := oracle.EvaluateCtx(ctx, p)
+				if err != nil {
 					t.Fatal(err)
 				}
-				return out
-			}
-			batched, scalar := run(false), run(true)
-			for i := range batched {
-				if math.Float64bits(batched[i]) != math.Float64bits(scalar[i]) {
-					t.Fatalf("%s point %v: batched=%x scalar=%x", name, points[i], math.Float64bits(batched[i]), math.Float64bits(scalar[i]))
+				if math.Float64bits(batched[i]) != math.Float64bits(scalar) {
+					t.Fatalf("%s point %v: batched=%x scalar=%x", name, p, math.Float64bits(batched[i]), math.Float64bits(scalar))
 				}
 			}
 		})

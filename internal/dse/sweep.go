@@ -89,11 +89,6 @@ type SweepOptions struct {
 	// and skips every index it already carries. The checkpoint must match
 	// the space's signature.
 	Resume bool
-	// DisableBatch keeps the sweep on the engine's scalar per-point path
-	// even for batch-capable evaluators (differential testing and
-	// benchmarking). Ignored when Engine is set — a shared engine carries
-	// its own batch setting.
-	DisableBatch bool
 }
 
 // IndexFailure records one design point whose evaluation kept failing
@@ -233,13 +228,12 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		// machinery, but no memoization (indices within one sweep are
 		// unique, so a private cache could never hit).
 		eng = engine.New(engine.Options{
-			Workers:      opts.Workers,
-			CacheSize:    -1,
-			Retry:        opts.Retry,
-			Seed:         0x5eed ^ uint64(len(indices)),
-			Tracer:       tr,
-			Metrics:      met,
-			DisableBatch: opts.DisableBatch,
+			Workers:   opts.Workers,
+			CacheSize: -1,
+			Retry:     opts.Retry,
+			Seed:      0x5eed ^ uint64(len(indices)),
+			Tracer:    tr,
+			Metrics:   met,
 		})
 	}
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -21,9 +20,10 @@ import (
 // enforces that every implementation also carries the scalar method, and
 // the differential tests in dse enforce the bit-identity.
 //
-// EvaluateStream detects this interface and switches from per-point
-// dispatch to cache-friendly chunks, the single biggest win on the
-// evaluation hot path (see DESIGN.md §12).
+// EvaluateStream detects this interface and sizes its chunks for it:
+// many points per chunk, with all of a chunk's misses in one kernel call
+// — the single biggest win on the evaluation hot path (see DESIGN.md
+// §12). Do evaluates a one-point chunk the same way.
 type BatchEvaluator interface {
 	EvaluateBatch(ctx context.Context, points [][]float64, out []float64) error
 }
@@ -70,275 +70,27 @@ func (e *Engine) EvaluateBatch(ctx context.Context, ev robust.Evaluator, points 
 // the per-chunk lock and gate traffic, and capped so one chunk's memo
 // probes stay cache-resident.
 func chunkSize(n, workers int) int {
-	c := (n + 4*workers - 1) / (4 * workers)
-	if c < 16 {
-		c = 16
-	}
-	if c > 512 {
-		c = 512
-	}
-	if c > n {
-		c = n
-	}
-	return c
+	return min(max((n+4*workers-1)/(4*workers), 16), 512, n)
 }
 
-// streamBatched is EvaluateStream over a BatchEvaluator: the plane is
-// cut into chunks, each chunk takes one gate slot and one worker slot
-// (fair-share arbitration moves from point to chunk granularity; single
-// point submissions — the server's /v1/evaluate — keep exactly the
-// scalar semantics), probes the memo cache in one critical section, and
-// evaluates all misses with a single guarded, retried batch call. The
-// evaluator's fingerprint is resolved once for the whole stream, not per
-// point.
-func (e *Engine) streamBatched(ctx context.Context, ev robust.Evaluator, be BatchEvaluator, points [][]float64, yield func(i int, o Outcome)) error {
-	n := len(points)
-	chunk := chunkSize(n, e.workers)
-	nchunks := (n + chunk - 1) / chunk
-	workers := e.workers
-	if workers > nchunks {
-		workers = nchunks
+// computeChunk is computeInner for a chunk's misses: one guarded,
+// retried EvaluateBatch call over pts[i] for every i in miss, writing
+// outs[i]. It is metered like computeInner: evaluations and failures
+// counted per point, wall time and the eval-seconds histogram observed
+// once per batch call, retries counted per extra attempt.
+func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]float64, miss []int, outs []Outcome) {
+	batch := make([][]float64, len(miss))
+	for j, i := range miss {
+		batch[j] = pts[i]
 	}
-
-	fp := ""
-	seed := uint64(0)
-	cacheable := false
-	if e.cache != nil {
-		if f, ok := ev.(Fingerprinter); ok {
-			fp = f.Fingerprint()
-			seed = hashFP(fp)
-			cacheable = true
-		}
-	}
-
-	type res struct {
-		lo   int
-		outs []Outcome
-	}
-	work := make(chan int)
-	results := make(chan res, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ci := range work {
-				lo := ci * chunk
-				hi := lo + chunk
-				if hi > n {
-					hi = n
-				}
-				// Same acquisition order as the scalar path: the external
-				// gate (when present) first, so a gated waiter never pins
-				// a worker slot while it queues.
-				var release func()
-				if e.gate != nil {
-					r, err := e.gate.AcquireSlot(ctx)
-					if err != nil {
-						return
-					}
-					release = r
-				}
-				select {
-				case e.sem <- struct{}{}:
-				case <-ctx.Done():
-					if release != nil {
-						release()
-					}
-					return
-				}
-				outs := e.doChunk(ctx, ev, be, points[lo:hi], cacheable, fp, seed)
-				<-e.sem
-				if release != nil {
-					release()
-				}
-				results <- res{lo: lo, outs: outs}
-			}
-		}()
-	}
-	go func() {
-		defer close(work)
-		for ci := 0; ci < nchunks; ci++ {
-			select {
-			case work <- ci:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
-	for r := range results {
-		if yield != nil {
-			for j, o := range r.outs {
-				yield(r.lo+j, o)
-			}
-		}
-	}
-	return ctx.Err()
-}
-
-// doChunk evaluates one chunk: classify every point (memo hit, owned
-// miss, in-flight elsewhere) under a single lock acquisition, evaluate
-// all misses with one guarded batch call, publish the results, then
-// resolve points another computation owned through the scalar path.
-func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, be BatchEvaluator, pts [][]float64, cacheable bool, fp string, seed uint64) []Outcome {
-	outs := make([]Outcome, len(pts))
-	if !cacheable {
-		e.counters.requests.Add(uint64(len(pts)))
-		e.obs.requests.Add(uint64(len(pts)))
-		vals := make([]float64, len(pts))
-		attempts, err := e.computeChunk(ctx, be, pts, vals)
-		if err != nil && !isContextErr(err) {
-			e.counters.failures.Add(uint64(len(pts)))
-			e.obs.failures.Add(uint64(len(pts)))
-		}
-		for i := range pts {
-			outs[i] = chunkOutcome(vals[i], attempts, err)
-		}
-		return outs
-	}
-
-	hashes := make([]uint64, len(pts))
-	for i, p := range pts {
-		hashes[i] = hashPoint(seed, p)
-	}
-	// callSlab backs every in-flight registration of this chunk and done
-	// is their shared completion signal (the whole chunk publishes at
-	// once), so registration costs no per-point allocation.
-	callSlab := make([]call, len(pts))
-	var done chan struct{}
-	var (
-		miss       []int // chunk indices this call evaluates
-		missPts    [][]float64
-		missHashes []uint64
-		calls      []*call // parallel to miss; nil for solo hash collisions
-		collided   []bool  // non-nil when any calls entry is nil
-		deferred   []int   // chunk indices owned by another in-flight call
-		hits       uint64
-	)
-	e.mu.Lock()
-	fpID := e.internLocked(fp)
-	for i, p := range pts {
-		if v, ok := e.cache.get(hashes[i], fpID, p); ok {
-			outs[i] = Outcome{Value: v, CacheHit: true}
-			hits++
-			continue
-		}
-		if c, ok := e.inflight[hashes[i]]; ok {
-			if c.fpID == fpID && pointsEqual(c.point, p) {
-				deferred = append(deferred, i)
-				continue
-			}
-			// Hash collision with a different in-flight key: evaluate in
-			// this batch but stay out of the memo and dedup tables.
-			miss = append(miss, i)
-			missPts = append(missPts, p)
-			missHashes = append(missHashes, hashes[i])
-			calls = append(calls, nil)
-			if collided == nil {
-				collided = make([]bool, len(pts))
-			}
-			collided[len(calls)-1] = true
-			continue
-		}
-		if done == nil {
-			done = make(chan struct{})
-		}
-		c := &callSlab[i]
-		*c = call{fpID: fpID, point: p, done: done}
-		e.inflight[hashes[i]] = c
-		miss = append(miss, i)
-		missPts = append(missPts, p)
-		missHashes = append(missHashes, hashes[i])
-		calls = append(calls, c)
-	}
-	e.mu.Unlock()
-
-	// Deferred points re-enter through Do (which counts their requests);
-	// everything else is this chunk's.
-	e.counters.requests.Add(uint64(len(pts) - len(deferred)))
-	e.obs.requests.Add(uint64(len(pts) - len(deferred)))
-	if hits > 0 {
-		e.counters.cacheHits.Add(hits)
-		e.obs.cacheHits.Add(hits)
-	}
-	if len(miss) > 0 {
-		e.counters.cacheMisses.Add(uint64(len(miss)))
-		e.obs.cacheMisses.Add(uint64(len(miss)))
-		vals := make([]float64, len(miss))
-		attempts, err := e.computeChunk(ctx, be, missPts, vals)
-		if err != nil && !isContextErr(err) {
-			e.counters.failures.Add(uint64(len(miss)))
-			e.obs.failures.Add(uint64(len(miss)))
-		}
-		evicted := uint64(0)
-		e.mu.Lock()
-		registered := 0
-		for k, i := range miss {
-			outs[i] = chunkOutcome(vals[k], attempts, err)
-			if c := calls[k]; c != nil {
-				c.out = outs[i]
-				registered++
-			}
-		}
-		// Our registrations are all still present (only this call removes
-		// them), so a size match means the in-flight table holds nothing
-		// else and the chunk's registrations can be released in bulk — the
-		// common single-stream case, where per-key deletes would be the
-		// costliest map traffic of the publish path.
-		if registered == len(e.inflight) {
-			clear(e.inflight)
-		} else {
-			for k := range miss {
-				if calls[k] != nil {
-					delete(e.inflight, missHashes[k])
-				}
-			}
-		}
-		if err == nil {
-			evicted = e.cache.addBatch(missHashes, fpID, missPts, vals, collided)
-		}
-		e.mu.Unlock()
-		if done != nil {
-			close(done)
-		}
-		if evicted > 0 {
-			e.counters.evictions.Add(evicted)
-			e.obs.evictions.Add(evicted)
-		}
-	}
-	// Resolved last: a duplicate point within this very chunk waits on a
-	// call the loop above has already closed, so this cannot deadlock.
-	for _, i := range deferred {
-		outs[i] = e.doKeyed(ctx, ev, pts[i], hashes[i], fp)
-	}
-	return outs
-}
-
-// chunkOutcome maps one point's share of a batch computation to the
-// scalar Outcome contract (NaN value on error).
-func chunkOutcome(val float64, attempts int, err error) Outcome {
-	if err != nil {
-		return Outcome{Value: math.NaN(), Attempts: attempts, Err: err}
-	}
-	return Outcome{Value: val, Attempts: attempts}
-}
-
-// computeChunk is computeInner for a batch: one guarded, retried
-// EvaluateBatch call metered like the scalar path (evaluations counted
-// per point per attempt; wall time and the eval-seconds histogram
-// observed once per batch call; retries counted per extra attempt).
-func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]float64, vals []float64) (attempts int, err error) {
+	vals := make([]float64, len(miss))
 	ctx, sp := e.tracer.Start(ctx, "engine.eval")
 	e.obs.inflight.Add(1)
 	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency counters/histogram only, never the evaluated values
-	attempts, err = e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
-		e.counters.evaluations.Add(uint64(len(pts)))
-		e.obs.evaluations.Add(uint64(len(pts)))
-		err2 := guardedBatch(ctx, be, pts, vals)
+	attempts, err := e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
+		e.counters.evaluations.Add(uint64(len(batch)))
+		e.obs.evaluations.Add(uint64(len(batch)))
+		err2 := guardedBatch(ctx, be, batch, vals)
 		var pe *robust.PanicError
 		if errors.As(err2, &pe) {
 			e.counters.panics.Add(1)
@@ -350,8 +102,8 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 	e.counters.wallNanos.Add(uint64(elapsed))
 	// One histogram observation per raw evaluation (the amortized
 	// per-point latency), so the eval-seconds count tracks the
-	// evaluations counter exactly as on the scalar path.
-	evals := uint64(len(pts)) * uint64(attempts)
+	// evaluations counter exactly as computeInner's does.
+	evals := uint64(len(batch)) * uint64(attempts)
 	if evals > 0 {
 		e.obs.evalSeconds.ObserveN(elapsed.Seconds()/float64(evals), evals)
 	}
@@ -359,16 +111,25 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 		e.counters.retries.Add(uint64(attempts - 1))
 		e.obs.retries.Add(uint64(attempts - 1))
 	}
+	if err != nil && !isContextErr(err) {
+		e.counters.failures.Add(uint64(len(batch)))
+		e.obs.failures.Add(uint64(len(batch)))
+	}
 	e.obs.inflight.Add(-1)
 	if sp != nil {
-		sp.Annotate(obs.I("points", int64(len(pts))))
+		sp.Annotate(obs.I("points", int64(len(batch))))
 		sp.Annotate(obs.I("attempts", int64(attempts)))
 		if err != nil {
 			sp.Annotate(obs.S("error", err.Error()))
 		}
 		sp.Finish()
 	}
-	return attempts, err
+	for j, i := range miss {
+		outs[i] = Outcome{Value: vals[j], Attempts: attempts, Err: err}
+		if err != nil {
+			outs[i].Value = math.NaN()
+		}
+	}
 }
 
 // guardedBatch is robust.Guard for a batch call: a panicking kernel

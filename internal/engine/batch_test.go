@@ -52,33 +52,26 @@ func testPlane(n int) [][]float64 {
 
 func TestBatchStreamMatchesScalar(t *testing.T) {
 	pts := testPlane(1000)
-	scalar := make([]float64, len(pts))
-	batch := make([]float64, len(pts))
-
-	es := New(Options{Workers: 4, DisableBatch: true})
-	if err := es.EvaluateBatch(context.Background(), &quadEval{}, pts, scalar); err != nil {
+	out := make([]float64, len(pts))
+	e := New(Options{Workers: 4})
+	q := &quadEval{}
+	if err := e.EvaluateBatch(context.Background(), q, pts, out); err != nil {
 		t.Fatal(err)
 	}
-	eb := New(Options{Workers: 4})
-	qb := &quadEval{}
-	if err := eb.EvaluateBatch(context.Background(), qb, pts, batch); err != nil {
-		t.Fatal(err)
-	}
-	for i := range pts {
-		if math.Float64bits(scalar[i]) != math.Float64bits(batch[i]) {
-			t.Fatalf("point %d: scalar %v != batch %v", i, scalar[i], batch[i])
+	for i, p := range pts {
+		if want := quadKernel(p); math.Float64bits(out[i]) != math.Float64bits(want) {
+			t.Fatalf("point %d: batch %v != kernel %v", i, out[i], want)
 		}
 	}
-	if qb.scalarCalls.Load() != 0 {
-		t.Fatalf("batched engine made %d scalar calls", qb.scalarCalls.Load())
+	if q.scalarCalls.Load() != 0 {
+		t.Fatalf("batched engine made %d scalar calls", q.scalarCalls.Load())
 	}
-	if got := qb.batchPoints.Load(); got != int64(len(pts)) {
+	if got := q.batchPoints.Load(); got != int64(len(pts)) {
 		t.Fatalf("batch evaluated %d points, want %d", got, len(pts))
 	}
-	ss, bs := es.Stats(), eb.Stats()
-	if ss.Requests != bs.Requests || ss.Evaluations != bs.Evaluations ||
-		ss.CacheHits != bs.CacheHits || ss.CacheMisses != bs.CacheMisses {
-		t.Fatalf("stats diverge:\nscalar %+v\nbatch  %+v", ss, bs)
+	n := uint64(len(pts))
+	if st := e.Stats(); st.Requests != n || st.Evaluations != n || st.CacheMisses != n || st.CacheHits != 0 {
+		t.Fatalf("cold accounting: %+v, want %d requests, evaluations and misses", st, n)
 	}
 }
 
@@ -209,9 +202,10 @@ func TestEvaluateBatchLengthMismatch(t *testing.T) {
 	}
 }
 
-// TestWarmHitZeroAllocs pins the memo hot path: a warm scalar hit — the
-// per-point unit the old exact-bytes key allocated a string for — now
-// performs zero allocations.
+// TestWarmHitZeroAllocs pins the memo hot path: a warm hit — the
+// per-point unit the old exact-bytes key allocated a string for —
+// performs zero allocations, and a miss of a one-point Do stays within
+// the five allocations of its registration, computation and memo insert.
 func TestWarmHitZeroAllocs(t *testing.T) {
 	e := New(Options{Workers: 1})
 	// The conversion to the interface happens once here: a concrete Func
@@ -233,6 +227,19 @@ func TestWarmHitZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("warm cache hit allocates %.1f objects/op, want 0", allocs)
+	}
+
+	cold := testPlane(512)
+	next := 0
+	allocs = testing.AllocsPerRun(200, func() {
+		o := e.Do(ctx, ev, cold[next])
+		next++
+		if o.CacheHit || o.Attempts != 1 {
+			t.Fatalf("expected a miss, got %+v", o)
+		}
+	})
+	if allocs > 5 {
+		t.Fatalf("one-point miss allocates %.1f objects/op, want at most 5", allocs)
 	}
 }
 
@@ -257,32 +264,25 @@ func BenchmarkWarmHit(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchStream compares the two stream dispatch paths on a warm
-// cache (per-point cost of chunked vs scalar submission).
+// BenchmarkBatchStream measures the per-point cost of chunked stream
+// dispatch on a warm cache.
 func BenchmarkBatchStream(b *testing.B) {
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"scalar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			e := New(Options{Workers: 4, DisableBatch: mode.disable})
-			q := &quadEval{}
-			pts := testPlane(4096)
-			ctx := context.Background()
-			out := make([]float64, len(pts))
-			if err := e.EvaluateBatch(ctx, q, pts, out); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := e.EvaluateBatch(ctx, q, pts, out); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-			perPoint := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(pts))
-			b.ReportMetric(perPoint, "ns/point")
-		})
+	e := New(Options{Workers: 4})
+	q := &quadEval{}
+	pts := testPlane(4096)
+	ctx := context.Background()
+	out := make([]float64, len(pts))
+	if err := e.EvaluateBatch(ctx, q, pts, out); err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.EvaluateBatch(ctx, q, pts, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	perPoint := float64(b.Elapsed().Nanoseconds()) / float64(b.N*len(pts))
+	b.ReportMetric(perPoint, "ns/point")
 }

@@ -67,9 +67,9 @@ func (f Func) EvaluateCtx(ctx context.Context, point []float64) (float64, error)
 func (f Func) Fingerprint() string { return f.FP }
 
 // Gate arbitrates worker slots among competing submissions. When an
-// Engine carries one, every EvaluateStream point acquires a gate slot
+// Engine carries one, every EvaluateStream chunk acquires a gate slot
 // before it takes a pool worker, so an external scheduler — the server's
-// per-tenant fair-share queue, for example — decides whose point runs
+// per-tenant fair-share queue, for example — decides whose work runs
 // next instead of the channel's arrival order. The gate sees the
 // submission's context, which is where schedulers carry their identity
 // (e.g. the requesting tenant).
@@ -105,18 +105,15 @@ type Options struct {
 	// evaluation hot path never performs a registry or context lookup.
 	// Nil disables the mirror.
 	Metrics *obs.Registry
-	// Gate, when non-nil, schedules EvaluateStream points: each point
+	// Gate, when non-nil, schedules EvaluateStream chunks: each chunk
 	// acquires a gate slot (in addition to the engine's own worker
 	// semaphore) before evaluating, so an external policy — fair-share
 	// across tenants, priority classes — owns the dispatch order of the
-	// shared pool. Single-point Evaluate/Do calls bypass the gate; they
-	// are bounded by the caller's own admission control. On the batched
-	// path the gate arbitrates chunks rather than points.
+	// shared pool. Plain evaluators run in chunks of one point, so the
+	// gate arbitrates their points individually. Single-point
+	// Evaluate/Do calls bypass the gate; they are bounded by the caller's
+	// own admission control.
 	Gate Gate
-	// DisableBatch forces EvaluateStream onto the scalar per-point path
-	// even for evaluators that implement BatchEvaluator. It exists for
-	// differential testing and benchmarking of the two paths.
-	DisableBatch bool
 }
 
 // DefaultCacheSize is the memoization capacity when Options.CacheSize is
@@ -155,12 +152,11 @@ type call struct {
 // Engine is the memoizing, metered evaluation service. Safe for
 // concurrent use.
 type Engine struct {
-	workers      int
-	retry        robust.RetryPolicy
-	rng          *robust.RNG
-	sem          chan struct{}
-	gate         Gate
-	disableBatch bool
+	workers int
+	retry   robust.RetryPolicy
+	rng     *robust.RNG
+	sem     chan struct{}
+	gate    Gate
 
 	mu       sync.Mutex
 	cache    *lruCache // nil when caching is disabled
@@ -217,16 +213,15 @@ func New(opts Options) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{
-		workers:      workers,
-		retry:        opts.Retry,
-		rng:          robust.NewRNG(opts.Seed),
-		sem:          make(chan struct{}, workers),
-		gate:         opts.Gate,
-		disableBatch: opts.DisableBatch,
-		inflight:     make(map[uint64]*call),
-		fps:          make(map[string]uint32),
-		tracer:       opts.Tracer,
-		obs:          newInstruments(opts.Metrics),
+		workers:  workers,
+		retry:    opts.Retry,
+		rng:      robust.NewRNG(opts.Seed),
+		sem:      make(chan struct{}, workers),
+		gate:     opts.Gate,
+		inflight: make(map[uint64]*call),
+		fps:      make(map[string]uint32),
+		tracer:   opts.Tracer,
+		obs:      newInstruments(opts.Metrics),
 	}
 	if opts.CacheSize >= 0 {
 		size := opts.CacheSize
@@ -251,82 +246,33 @@ func (e *Engine) Evaluate(ctx context.Context, ev robust.Evaluator, point []floa
 }
 
 // Do is Evaluate with the full Outcome (attempt count, cache/shared
-// provenance).
+// provenance). The point is a one-point chunk run on the caller's
+// goroutine, outside the gate and the worker semaphore.
 func (e *Engine) Do(ctx context.Context, ev robust.Evaluator, point []float64) Outcome {
-	e.counters.requests.Add(1)
-	e.obs.requests.Add(1)
-	fp := ""
-	cacheable := false
-	if e.cache != nil {
-		if f, ok := ev.(Fingerprinter); ok {
-			fp = f.Fingerprint()
-			cacheable = true
-		}
-	}
-	if !cacheable {
-		return e.compute(ctx, ev, point)
-	}
-	return e.doKeyed(ctx, ev, point, hashPoint(hashFP(fp), point), fp)
+	var out [1]Outcome
+	pts := [1][]float64{point}
+	e.doChunk(ctx, ev, e.keyOf(ev), pts[:], out[:])
+	return out[0]
 }
 
-// doKeyed is the cacheable half of Do: the caller has already derived
-// the 64-bit key hash (cheap, zero-alloc) and still holds the exact
-// fingerprint for identity checks.
-func (e *Engine) doKeyed(ctx context.Context, ev robust.Evaluator, point []float64, hash uint64, fp string) Outcome {
-	for {
-		e.mu.Lock()
-		fpID := e.internLocked(fp)
-		if v, ok := e.cache.get(hash, fpID, point); ok {
-			e.mu.Unlock()
-			e.counters.cacheHits.Add(1)
-			e.obs.cacheHits.Add(1)
-			return Outcome{Value: v, CacheHit: true}
-		}
-		if c, ok := e.inflight[hash]; ok {
-			if c.fpID != fpID || !pointsEqual(c.point, point) {
-				// 64-bit hash collision with a different in-flight key:
-				// compute solo, skipping dedup and the memo insert (the
-				// colliding owner keeps the table slot; exactness first).
-				e.mu.Unlock()
-				e.counters.cacheMisses.Add(1)
-				e.obs.cacheMisses.Add(1)
-				return e.compute(ctx, ev, point)
-			}
-			e.mu.Unlock()
-			select {
-			case <-ctx.Done():
-				return Outcome{Value: math.NaN(), Err: ctx.Err()}
-			case <-c.done:
-			}
-			if isContextErr(c.out.Err) {
-				// The owner was cancelled, not the computation refuted:
-				// compete for the key again.
-				continue
-			}
-			e.counters.dedups.Add(1)
-			e.obs.dedups.Add(1)
-			return Outcome{Value: c.out.Value, Shared: true, Err: c.out.Err}
-		}
-		c := &call{fpID: fpID, point: point, done: make(chan struct{})}
-		e.inflight[hash] = c
-		e.mu.Unlock()
+// memoKey is an evaluator's memo identity, resolved once per stream
+// (and once per Do).
+type memoKey struct {
+	cacheable bool
+	fp        string
+	seed      uint64 // hashFP(fp)
+}
 
-		e.counters.cacheMisses.Add(1)
-		e.obs.cacheMisses.Add(1)
-		out := e.compute(ctx, ev, point)
-		c.out = out
-		e.mu.Lock()
-		if out.Err == nil {
-			if e.cache.add(hash, c.fpID, point, out.Value) {
-				e.counters.evictions.Add(1)
-				e.obs.evictions.Add(1)
-			}
-		}
-		delete(e.inflight, hash)
-		e.mu.Unlock()
-		close(c.done)
-		return out
+// keyOf resolves ev's memo identity. Only fingerprinted evaluators on a
+// caching engine are memoized.
+func (e *Engine) keyOf(ev robust.Evaluator) memoKey {
+	var k memoKey
+	if f, ok := ev.(Fingerprinter); ok && e.cache != nil {
+		k.cacheable = true
+		k.fp = f.Fingerprint()
+		k.seed = hashFP(k.fp)
 	}
+	return k
 }
 
 // internLocked returns the stable ID of a fingerprint, assigning one on
@@ -338,6 +284,155 @@ func (e *Engine) internLocked(fp string) uint32 {
 	id := uint32(len(e.fps)) + 1
 	e.fps[fp] = id
 	return id
+}
+
+// deferral is a chunk point owned by another in-flight call.
+type deferral struct {
+	i int
+	c *call
+}
+
+// doChunk is the engine's one classify → compute → publish path: it
+// counts the chunk's requests and resolves outs[i] for every pts[i].
+func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, k memoKey, pts [][]float64, outs []Outcome) {
+	e.counters.requests.Add(uint64(len(pts)))
+	e.obs.requests.Add(uint64(len(pts)))
+	e.resolve(ctx, ev, k, pts, outs)
+}
+
+// resolve classifies every point (memo hit, owned miss, in-flight
+// elsewhere) under a single lock acquisition, computes the misses —
+// one guarded, retried batch call for a BatchEvaluator, computeInner
+// per point otherwise — publishes them to the cache and their waiters,
+// and finally waits out the points another call owns, counting each as
+// a dedup. Every request is thus exactly one hit, miss or dedup.
+func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pts [][]float64, outs []Outcome) {
+	// A one-point chunk — every Do — keeps its bookkeeping on the stack,
+	// so it allocates no more than its registration, computation and
+	// memo insert need.
+	var hashBuf [1]uint64
+	var missBuf [1]int
+	hashes, miss := hashBuf[:], missBuf[:0]
+	if len(pts) > 1 {
+		hashes, miss = make([]uint64, len(pts)), make([]int, 0, len(pts))
+	}
+	var (
+		fpID     uint32
+		calls    []call        // this chunk's registrations, by chunk index
+		done     chan struct{} // their shared completion signal
+		owned    int
+		deferred []deferral
+		hits     uint64
+	)
+	if !k.cacheable {
+		for i := range pts {
+			miss = append(miss, i)
+		}
+	} else {
+		for i, p := range pts {
+			hashes[i] = hashPoint(k.seed, p)
+		}
+		e.mu.Lock()
+		fpID = e.internLocked(k.fp)
+		for i, p := range pts {
+			if v, ok := e.cache.get(hashes[i], fpID, p); ok {
+				outs[i] = Outcome{Value: v, CacheHit: true}
+				hits++
+				continue
+			}
+			c, busy := e.inflight[hashes[i]]
+			if busy && c.fpID == fpID && pointsEqual(c.point, p) {
+				deferred = append(deferred, deferral{i: i, c: c})
+				continue
+			}
+			// A busy slot here is a 64-bit hash collision with a
+			// different in-flight key: evaluate the point but keep it
+			// out of the memo and dedup tables.
+			if !busy {
+				if calls == nil {
+					calls = make([]call, len(pts))
+					done = make(chan struct{})
+				}
+				calls[i] = call{fpID: fpID, point: p, done: done}
+				e.inflight[hashes[i]] = &calls[i]
+				owned++
+			}
+			miss = append(miss, i)
+		}
+		e.mu.Unlock()
+		if hits > 0 {
+			e.counters.cacheHits.Add(hits)
+			e.obs.cacheHits.Add(hits)
+		}
+		if len(miss) > 0 {
+			e.counters.cacheMisses.Add(uint64(len(miss)))
+			e.obs.cacheMisses.Add(uint64(len(miss)))
+		}
+	}
+
+	if len(miss) > 0 {
+		if be, ok := ev.(BatchEvaluator); ok {
+			e.computeChunk(ctx, be, pts, miss, outs)
+		} else {
+			for _, i := range miss {
+				outs[i] = e.compute(ctx, ev, pts[i])
+			}
+		}
+	}
+
+	if owned > 0 {
+		e.mu.Lock()
+		// Our registrations are all still present (only this call removes
+		// them), so a size match means the in-flight table holds nothing
+		// else and they can be released in bulk — the common
+		// single-stream case, where per-key deletes would be the costliest
+		// map traffic of the publish path.
+		bulk := owned == len(e.inflight)
+		if bulk {
+			clear(e.inflight)
+		}
+		memo := miss[:0] // owned successes, filtered in place
+		for _, i := range miss {
+			c := &calls[i]
+			if c.done == nil {
+				continue // collision: not registered
+			}
+			c.out = outs[i]
+			if !bulk {
+				delete(e.inflight, hashes[i])
+			}
+			if outs[i].Err == nil {
+				memo = append(memo, i)
+			}
+		}
+		evicted := e.cache.addChunk(hashes, fpID, pts, outs, memo)
+		e.mu.Unlock()
+		close(done)
+		if evicted > 0 {
+			e.counters.evictions.Add(evicted)
+			e.obs.evictions.Add(evicted)
+		}
+	}
+
+	// Resolved last: a duplicate point within this very chunk waits on a
+	// call the publish above has already closed, so this cannot deadlock.
+	for _, d := range deferred {
+		select {
+		case <-ctx.Done():
+			outs[d.i] = Outcome{Value: math.NaN(), Err: ctx.Err()}
+			continue
+		case <-d.c.done:
+		}
+		if isContextErr(d.c.out.Err) {
+			// The owner was cancelled, not the computation refuted:
+			// classify the point again.
+			e.resolve(ctx, ev, k, pts[d.i:d.i+1], outs[d.i:d.i+1])
+			continue
+		}
+		e.counters.dedups.Add(1)
+		e.obs.dedups.Add(1)
+		outs[d.i] = Outcome{Value: d.c.out.Value, Shared: true, Err: d.c.out.Err}
+	}
 }
 
 // compute wraps computeInner in the engine.eval span and the inflight
@@ -393,25 +488,29 @@ func (e *Engine) computeInner(ctx context.Context, ev robust.Evaluator, point []
 
 // EvaluateStream evaluates every point on the engine's worker pool and
 // invokes yield(i, outcome) from a single goroutine (no locking needed in
-// yield) as results complete, in completion order. Points never started
-// because ctx was cancelled produce no yield call. EvaluateStream returns
-// ctx.Err() after all in-flight evaluations have finished — no worker
-// goroutine outlives the call.
+// yield) as results complete, in completion order. The points are cut
+// into chunks, each taking one gate slot and one worker slot: a
+// BatchEvaluator gets cache-friendly chunks whose misses share one
+// kernel call (see DESIGN.md §12), a plain evaluator chunks of one
+// point, keeping its retries, failures and gate slots per point. Points
+// never started because ctx was cancelled produce no yield call.
+// EvaluateStream returns ctx.Err() after all in-flight evaluations have
+// finished — no worker goroutine outlives the call.
 func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points [][]float64, yield func(i int, o Outcome)) error {
 	n := len(points)
 	if n == 0 {
 		return ctx.Err()
 	}
-	if be, ok := ev.(BatchEvaluator); ok && !e.disableBatch {
-		return e.streamBatched(ctx, ev, be, points, yield)
+	k := e.keyOf(ev)
+	chunk := 1
+	if _, ok := ev.(BatchEvaluator); ok {
+		chunk = chunkSize(n, e.workers)
 	}
-	workers := e.workers
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.workers, (n+chunk-1)/chunk)
+
 	type res struct {
-		i int
-		o Outcome
+		lo   int
+		outs []Outcome
 	}
 	work := make(chan int)
 	results := make(chan res, workers)
@@ -420,8 +519,8 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range work {
-				// The external gate (when present) decides whose point runs
+			for lo := range work {
+				// The external gate (when present) decides whose chunk runs
 				// next; it must be taken before the pool semaphore so a
 				// gated waiter never pins a worker slot while it queues.
 				var release func()
@@ -442,20 +541,22 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 					}
 					return
 				}
-				o := e.Do(ctx, ev, points[i])
+				hi := min(lo+chunk, n)
+				outs := make([]Outcome, hi-lo)
+				e.doChunk(ctx, ev, k, points[lo:hi], outs)
 				<-e.sem
 				if release != nil {
 					release()
 				}
-				results <- res{i: i, o: o}
+				results <- res{lo: lo, outs: outs}
 			}
 		}()
 	}
 	go func() {
 		defer close(work)
-		for i := range points {
+		for lo := 0; lo < n; lo += chunk {
 			select {
-			case work <- i:
+			case work <- lo:
 			case <-ctx.Done():
 				return
 			}
@@ -467,7 +568,9 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 	}()
 	for r := range results {
 		if yield != nil {
-			yield(r.i, r.o)
+			for j, o := range r.outs {
+				yield(r.lo+j, o)
+			}
 		}
 	}
 	return ctx.Err()
@@ -476,7 +579,7 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 // KeyHash returns the engine's canonical 64-bit memo key for a
 // (fingerprint, point) pair: FNV-1a over the fingerprint seeding a
 // splitmix64-style fold of the point's IEEE-754 bits — exactly the hash
-// the cache, the in-flight table and the batched path use internally.
+// the cache, the in-flight table and every chunk use internally.
 // The cluster tier places keys on its consistent-hash ring with this
 // function, so cache ownership and memo identity can never disagree.
 func KeyHash(fp string, point []float64) uint64 {

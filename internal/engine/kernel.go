@@ -19,8 +19,8 @@ type Kernel interface {
 }
 
 // KernelEvaluator adapts a compiled Kernel to the engine's evaluator
-// contracts: scalar EvaluateCtx for the per-point pipeline and
-// EvaluateBatch for chunked dispatch. Both paths call the same
+// contracts: EvaluateBatch for the engine's chunked dispatch and the
+// scalar EvaluateCtx for direct calls. Both call the same
 // Kernel.TimeAt, so they are bit-identical by construction. FP must be
 // the family-qualified model fingerprint — it is the memo/singleflight
 // key that keeps two families from ever sharing cache entries.

@@ -153,44 +153,42 @@ func (c *lruCache) add(hash uint64, fpID uint32, point []float64, val float64) (
 	return false
 }
 
-// addBatch is add for a whole freshly computed chunk: one entry slab
-// and one flat point backing array are shared by every inserted entry,
-// so cold batched sweeps pay two allocations per chunk instead of two
-// per point (the dominant cost of cold insertion otherwise). skip, when
-// non-nil, marks entries the caller does not own (in-flight hash
-// collisions) that must stay out of the table. Entries evicted later
-// pin their slab until the whole chunk's generation ages out — bounded
-// by one extra chunk per resident generation, which the chunk-size cap
-// keeps small.
-func (c *lruCache) addBatch(hashes []uint64, fpID uint32, points [][]float64, vals []float64, skip []bool) (evicted uint64) {
-	slab := make([]lruEntry, len(hashes))
+// addChunk is add for the freshly computed points of a chunk: it
+// memoizes pts[i] → outs[i].Value for every i in memo. One entry slab and
+// one flat point backing array are shared by every inserted entry, so
+// cold batched sweeps pay two allocations per chunk instead of two per
+// point (the dominant cost of cold insertion otherwise). Entries evicted
+// later pin their slab until the whole chunk's generation ages out —
+// bounded by one extra chunk per resident generation, which the
+// chunk-size cap keeps small.
+func (c *lruCache) addChunk(hashes []uint64, fpID uint32, pts [][]float64, outs []Outcome, memo []int) (evicted uint64) {
+	if len(memo) == 0 {
+		return 0
+	}
+	slab := make([]lruEntry, len(memo))
 	total := 0
-	for k, p := range points {
-		if skip == nil || !skip[k] {
-			total += len(p)
-		}
+	for _, i := range memo {
+		total += len(pts[i])
 	}
 	backing := make([]float64, 0, total)
-	for k, h := range hashes {
-		if skip != nil && skip[k] {
-			continue
-		}
+	for k, i := range memo {
+		h, p, v := hashes[i], pts[i], outs[i].Value
 		if e, ok := c.items[h]; ok {
-			// Hash resident (a collision or an intra-chunk duplicate):
-			// same replacement semantics as add.
-			if e.fpID != fpID || !pointsEqual(e.point, points[k]) {
+			// Hash resident (a collision with another identity): same
+			// replacement semantics as add.
+			if e.fpID != fpID || !pointsEqual(e.point, p) {
 				e.fpID = fpID
-				e.point = append(e.point[:0], points[k]...)
+				e.point = append(e.point[:0], p...)
 			}
-			e.val = vals[k]
+			e.val = v
 			c.unlink(e)
 			c.pushFront(e)
 			continue
 		}
 		lo := len(backing)
-		backing = append(backing, points[k]...)
+		backing = append(backing, p...)
 		e := &slab[k]
-		*e = lruEntry{hash: h, fpID: fpID, point: backing[lo:len(backing):len(backing)], val: vals[k]}
+		*e = lruEntry{hash: h, fpID: fpID, point: backing[lo:len(backing):len(backing)], val: v}
 		c.items[h] = e
 		c.pushFront(e)
 		c.n++

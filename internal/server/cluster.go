@@ -35,7 +35,6 @@ func (s *Server) peerWork(span string, h func(http.ResponseWriter, *http.Request
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeErrorBody(w, http.StatusServiceUnavailable,
 				ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
 			return
@@ -49,13 +48,11 @@ func (s *Server) peerWork(span string, h func(http.ResponseWriter, *http.Request
 				return
 			}
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeError(w, err)
 			return
 		}
 		defer release()
 		s.admitted.Add(1)
-		s.obsAdmitted.Add(1)
 		s.inflight.Add(1)
 		defer s.inflight.Done()
 		s.obsInflight.Add(1)
@@ -64,7 +61,6 @@ func (s *Server) peerWork(span string, h func(http.ResponseWriter, *http.Request
 		timeout, err := s.requestTimeout(r)
 		if err != nil {
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeErrorBody(w, http.StatusBadRequest, ErrorBody{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
@@ -79,9 +75,7 @@ func (s *Server) peerWork(span string, h func(http.ResponseWriter, *http.Request
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.panics.Add(1)
-				s.obsPanics.Add(1)
 				s.errors.Add(1)
-				s.obsErrors.Add(1)
 				if sp != nil {
 					sp.Annotate(obs.S("panic", "true"))
 					sp.Finish()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/robust"
@@ -170,4 +171,14 @@ func writeErrorBody(w http.ResponseWriter, status int, body ErrorBody) {
 	// Encoding a flat struct of strings cannot fail; the error return is
 	// the client hanging up mid-write, which has no remedy here.
 	_ = json.NewEncoder(w).Encode(errorEnvelope{Error: body})
+}
+
+// retryAfterSeconds converts a hint duration into the integer-second
+// Retry-After header value, rounding up so the client never retries
+// before the hint elapses.
+func retryAfterSeconds(d time.Duration) int {
+	if d <= 0 {
+		return 1
+	}
+	return max(int((d+time.Second-1)/time.Second), 1)
 }

@@ -2,8 +2,14 @@ package server
 
 import (
 	"context"
+	"errors"
 	"sync"
 )
+
+// errSaturated is returned by fairShare.acquire when the caller's queue
+// bound (per-tenant or global) overflows; handlers translate it into
+// 429 + Retry-After.
+var errSaturated = errors.New("server: admission queue full")
 
 // fairShare is a weighted deficit-round-robin (WDRR) slot scheduler: a
 // fixed pool of execution slots arbitrated across per-tenant FIFO

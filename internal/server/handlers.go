@@ -217,7 +217,6 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 // fail counts and renders an error envelope.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	s.errors.Add(1)
-	s.obsErrors.Add(1)
 	writeError(w, err)
 }
 

@@ -213,7 +213,6 @@ func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.errors.Add(1)
-		s.obsErrors.Add(1)
 		writeErrorBody(w, http.StatusServiceUnavailable,
 			ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
 		return

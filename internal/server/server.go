@@ -175,17 +175,13 @@ type Server struct {
 	ckMu    sync.Mutex
 	ckInUse map[string]bool
 
-	requests atomic.Uint64
-	admitted atomic.Uint64
-	shed     atomic.Uint64
-	errors   atomic.Uint64
-	panics   atomic.Uint64
-
-	obsRequests *obs.Counter
-	obsAdmitted *obs.Counter
-	obsShed     *obs.Counter
-	obsErrors   *obs.Counter
-	obsPanics   *obs.Counter
+	// The server's own counters live in its registry (New always has
+	// one), so /metrics and Stats read the same increments.
+	requests    *obs.Counter
+	admitted    *obs.Counter
+	shed        *obs.Counter
+	errors      *obs.Counter
+	panics      *obs.Counter
 	obsInflight *obs.Gauge
 	obsSeconds  *obs.Histogram
 
@@ -261,11 +257,11 @@ func New(opts Options) *Server {
 		cancels: make(map[uint64]context.CancelFunc),
 		ckInUse: make(map[string]bool),
 
-		obsRequests: metrics.Counter("server_requests_total"),
-		obsAdmitted: metrics.Counter("server_admitted_total"),
-		obsShed:     metrics.Counter("server_shed_total"),
-		obsErrors:   metrics.Counter("server_errors_total"),
-		obsPanics:   metrics.Counter("server_panics_total"),
+		requests:    metrics.Counter("server_requests_total"),
+		admitted:    metrics.Counter("server_admitted_total"),
+		shed:        metrics.Counter("server_shed_total"),
+		errors:      metrics.Counter("server_errors_total"),
+		panics:      metrics.Counter("server_panics_total"),
 		obsInflight: metrics.Gauge("server_inflight"),
 		obsSeconds:  metrics.Histogram("server_request_seconds", obs.LatencyBuckets()),
 	}
@@ -321,11 +317,11 @@ func (s *Server) Metrics() *obs.Registry { return s.metrics }
 // Stats snapshots the server's counters.
 func (s *Server) Stats() Stats {
 	return Stats{
-		Requests: s.requests.Load(),
-		Admitted: s.admitted.Load(),
-		Shed:     s.shed.Load(),
-		Errors:   s.errors.Load(),
-		Panics:   s.panics.Load(),
+		Requests: s.requests.Value(),
+		Admitted: s.admitted.Value(),
+		Shed:     s.shed.Value(),
+		Errors:   s.errors.Value(),
+		Panics:   s.panics.Value(),
 		InFlight: s.adm.inUseCount(),
 		Queued:   int64(s.adm.waitingCount()),
 		Draining: s.draining.Load(),
@@ -339,7 +335,6 @@ func (s *Server) Ready() bool { return !s.draining.Load() }
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
-	s.obsRequests.Add(1)
 	s.mux.ServeHTTP(w, r)
 }
 
@@ -399,9 +394,10 @@ func (s *Server) unregisterCancel(id uint64) {
 }
 
 // engineGate adapts the engine-pool fairShare to engine.Gate: every
-// EvaluateStream point acquires a WDRR slot under the tenant carried by
-// the evaluation context, so a flooding tenant's batch cannot occupy the
-// whole worker pool while another tenant's points wait.
+// EvaluateStream chunk (one point for plain evaluators) acquires a WDRR
+// slot under the tenant carried by the evaluation context, so a flooding
+// tenant's batch cannot occupy the whole worker pool while another
+// tenant's points wait.
 type engineGate struct {
 	fs *fairShare
 	ts *tenants
@@ -429,7 +425,6 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if s.draining.Load() {
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeErrorBody(w, http.StatusServiceUnavailable,
 				ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
 			return
@@ -437,7 +432,6 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 		t, err := s.tenants.lookup(r)
 		if err != nil {
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeError(w, err)
 			return
 		}
@@ -457,13 +451,11 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 				return
 			}
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeError(w, err)
 			return
 		}
 		defer release()
 		s.admitted.Add(1)
-		s.obsAdmitted.Add(1)
 		s.inflight.Add(1)
 		defer s.inflight.Done()
 		s.obsInflight.Add(1)
@@ -472,7 +464,6 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 		timeout, err := s.requestTimeout(r)
 		if err != nil {
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeErrorBody(w, http.StatusBadRequest, ErrorBody{Code: CodeBadRequest, Message: err.Error()})
 			return
 		}
@@ -489,9 +480,7 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 			s.obsSeconds.Observe(time.Since(start).Seconds())
 			if rec := recover(); rec != nil {
 				s.panics.Add(1)
-				s.obsPanics.Add(1)
 				s.errors.Add(1)
-				s.obsErrors.Add(1)
 				if sp != nil {
 					sp.Annotate(obs.S("panic", "true"))
 					sp.Finish()
@@ -512,9 +501,7 @@ func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) h
 // shed counters.
 func (s *Server) shedTenant(w http.ResponseWriter, t *tenantState, retryAfter int, body ErrorBody) {
 	s.errors.Add(1)
-	s.obsErrors.Add(1)
 	s.shed.Add(1)
-	s.obsShed.Add(1)
 	t.obsShed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	writeErrorBody(w, http.StatusTooManyRequests, body)
@@ -531,7 +518,6 @@ func (s *Server) control(span string, h func(http.ResponseWriter, *http.Request)
 		t, err := s.tenants.lookup(r)
 		if err != nil {
 			s.errors.Add(1)
-			s.obsErrors.Add(1)
 			writeError(w, err)
 			return
 		}
@@ -543,9 +529,7 @@ func (s *Server) control(span string, h func(http.ResponseWriter, *http.Request)
 		defer func() {
 			if rec := recover(); rec != nil {
 				s.panics.Add(1)
-				s.obsPanics.Add(1)
 				s.errors.Add(1)
-				s.obsErrors.Add(1)
 				if sp != nil {
 					sp.Annotate(obs.S("panic", "true"))
 					sp.Finish()

@@ -38,20 +38,19 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // points. The With* options below mutate it; each entry point lowers it
 // onto the specific option structs of the internal layers.
 type runConfig struct {
-	engine       *Engine
-	tracer       *Tracer
-	metrics      *Metrics
-	workers      int
-	cache        int
-	retry        RetryPolicy
-	timeout      time.Duration
-	checkpoint   string
-	every        int
-	resume       bool
-	radius       int
-	metric       aps.Metric
-	optimize     OptimizeOptions
-	disableBatch bool
+	engine     *Engine
+	tracer     *Tracer
+	metrics    *Metrics
+	workers    int
+	cache      int
+	retry      RetryPolicy
+	timeout    time.Duration
+	checkpoint string
+	every      int
+	resume     bool
+	radius     int
+	metric     aps.Metric
+	optimize   OptimizeOptions
 }
 
 // Option configures a v2 entry point (Sweep, RunAPS, Optimize).
@@ -76,14 +75,6 @@ func WithMetrics(r *Metrics) Option { return func(c *runConfig) { c.metrics = r 
 // WithWorkers bounds evaluation parallelism (≤0: GOMAXPROCS). Ignored
 // when WithEngine is set.
 func WithWorkers(n int) Option { return func(c *runConfig) { c.workers = n } }
-
-// WithBatch toggles the engine's chunked dispatch for batch-capable
-// evaluators (BatchEvaluator implementers). It is on by default;
-// WithBatch(false) pins the scalar per-point path — the two produce
-// bit-identical values, so this exists for differential testing and
-// benchmarking, not correctness. Ignored when WithEngine is set (the
-// engine's own setting wins).
-func WithBatch(on bool) Option { return func(c *runConfig) { c.disableBatch = !on } }
 
 // WithCacheSize gives the call a private memoizing engine of the given
 // capacity in entries (0 picks the engine default; ignored when
@@ -154,12 +145,11 @@ func (c *runConfig) engineFor() *Engine {
 	}
 	if c.cache != 0 {
 		return engine.New(engine.Options{
-			Workers:      c.workers,
-			CacheSize:    c.cache,
-			Retry:        c.retry,
-			Tracer:       c.tracer,
-			Metrics:      c.metrics,
-			DisableBatch: c.disableBatch,
+			Workers:   c.workers,
+			CacheSize: c.cache,
+			Retry:     c.retry,
+			Tracer:    c.tracer,
+			Metrics:   c.metrics,
 		})
 	}
 	return nil
@@ -170,8 +160,7 @@ func (c *runConfig) engineFor() *Engine {
 // checkpoint/resume and observability — and returns the dense value
 // slice (NaN for unevaluated entries) with the structured report.
 // Partial results are valid even when the returned error is non-nil.
-// This is the v2 ground-truth path; SweepSpace and SweepSpaceCtx are its
-// deprecated precursors.
+// This is the ground-truth path.
 func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) ([]float64, SweepReport, error) {
 	c := newRunConfig(opts)
 	return dse.SweepCtx(c.context(ctx), e, s, nil, dse.SweepOptions{
@@ -182,7 +171,6 @@ func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) (
 		CheckpointPath:  c.checkpoint,
 		CheckpointEvery: c.every,
 		Resume:          c.resume,
-		DisableBatch:    c.disableBatch,
 	})
 }
 
@@ -190,8 +178,7 @@ func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) (
 // C²-Bound optimization, snap it onto the grid, then simulate only the
 // remaining microarchitectural slice. Cancellation propagates into the
 // analytic scan and every simulator invocation; WithCheckpoint/WithResume
-// make the simulated phase restartable. RunAPSCtx is the deprecated
-// struct-options form.
+// make the simulated phase restartable.
 func RunAPS(ctx context.Context, m Model, space DesignSpace, eval CtxEvaluator, opts ...Option) (APSResult, error) {
 	c := newRunConfig(opts)
 	return aps.RunCtx(c.context(ctx), m, space, eval, aps.Options{
@@ -206,7 +193,6 @@ func RunAPS(ctx context.Context, m Model, space DesignSpace, eval CtxEvaluator, 
 			CheckpointPath:  c.checkpoint,
 			CheckpointEvery: c.every,
 			Resume:          c.resume,
-			DisableBatch:    c.disableBatch,
 		},
 	})
 }
