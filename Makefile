@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench bench-json bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
+.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench-check bench bench-json bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
 
 all: build vet lint test
 
@@ -46,6 +46,13 @@ race-heavy:
 # The full pre-merge gate: build, vet, the c2vet analyzers (findings and
 # stale suppressions), tests, and the race detector.
 check: build vet lint lint-suppressions test race
+
+# The repository benchmark's own module (bench/, see bench/README.md):
+# vet it and run its tiny-scale workloads and oracles (~10 s). The root
+# module's `go test ./...` never builds it, so this is what catches a
+# root change that breaks the benchmark.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every figure/table benchmark with its headline metric.
 bench:

@@ -40,6 +40,7 @@ import (
 
 	c2bound "repro"
 	"repro/internal/dse"
+	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -190,7 +191,7 @@ func runSweep(ctx context.Context, m c2bound.Model, cfg c2bound.ChipConfig, eng 
 	}
 	fmt.Printf("\nsweeping %d analytic design points...\n", space.Size())
 	start := time.Now()
-	values, rep, err := dse.SweepCtx(ctx, &dse.ModelEvaluator{Model: m}, space, nil, dse.SweepOptions{
+	values, rep, err := dse.SweepCtx(ctx, dse.NewFamilyEvaluator(model.NewC2Bound(m)), space, nil, dse.SweepOptions{
 		Engine:         eng,
 		CheckpointPath: checkpoint,
 		Resume:         resume,

@@ -1,9 +1,9 @@
 // Command enginebench measures the evaluation engine's throughput with a
 // cold and a warm memo cache and writes the result as JSON (for CI trend
-// tracking). The workload is the deterministic analytic ModelEvaluator
-// over a reduced design space: the cold pass computes every point, the
-// warm pass re-requests the same points and should be served almost
-// entirely from cache.
+// tracking). The workload is the deterministic analytic c2bound family
+// evaluator over a reduced design space: the cold pass computes every
+// point, the warm pass re-requests the same points and should be served
+// almost entirely from cache.
 //
 // Usage:
 //
@@ -207,7 +207,7 @@ func runBench(per, rounds, workers int, tracer *obs.Tracer, metrics *obs.Registr
 	if err != nil {
 		log.Fatalf("space: %v", err)
 	}
-	eval := &dse.ModelEvaluator{Model: m}
+	eval := dse.NewFamilyEvaluator(model.NewC2Bound(m))
 	eng := engine.New(engine.Options{Workers: workers, Tracer: tracer, Metrics: metrics})
 	ctx := context.Background()
 	ctx = obs.ContextWithTracer(ctx, tracer)

@@ -121,18 +121,8 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 	defer runSp.Finish()
 
 	// One engine serves the whole run: the analytic optimizer's probes,
-	// the grid snap and the simulated slice share its cache and pool. A
-	// private engine inherits the context's observability.
-	eng := opts.Engine
-	if eng == nil {
-		eng = engine.New(engine.Options{
-			Workers: opts.Workers,
-			Retry:   opts.Sweep.Retry,
-			Tracer:  tr,
-			Metrics: obs.MetricsFrom(ctx),
-		})
-	}
-	stats0 := eng.Stats()
+	// the grid snap and the simulated slice share its cache and pool.
+	r := startRun(ctx, opts.Engine, opts.Workers, opts.Sweep)
 
 	// Step 1+2: analytic optimization (characterization is assumed done:
 	// the model's App already carries measured parameters). The
@@ -142,7 +132,7 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 	// simulations — because the continuous optimum may sit between grid
 	// values (especially its tight area constraint).
 	optOpts := opts.Optimize
-	optOpts.Engine = eng
+	optOpts.Engine = r.eng
 	optCtx, optSp := tr.Start(ctx, "aps.optimize")
 	analytic, err := m.OptimizeCtx(optCtx, optOpts)
 	optSp.Finish()
@@ -150,7 +140,7 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 		return Result{}, err
 	}
 	snapCtx, snapSp := tr.Start(ctx, "aps.grid-snap")
-	center, analyticPoints, err := gridOptimum(snapCtx, m, eng, space, dims, opts.Metric)
+	center, analyticPoints, err := gridOptimum(snapCtx, m, r.eng, space, dims, opts.Metric)
 	snapSp.Annotate(obs.I("analytic_points", int64(analyticPoints)))
 	snapSp.Finish()
 	if err != nil {
@@ -180,35 +170,79 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 			}
 		}
 	}
-	sweepOpts := opts.Sweep
-	if sweepOpts.Workers == 0 {
-		sweepOpts.Workers = opts.Workers
-	}
-	sweepOpts.Engine = eng
 	sliceCtx, sliceSp := tr.Start(ctx, "aps.slice", obs.I("indices", int64(len(indices))))
-	values, report, sweepErr := dse.SweepCtx(sliceCtx, eval, space, indices, sweepOpts)
+	slice, err := r.sweepBest(sliceCtx, eval, space, indices, "simulated slice")
 	sliceSp.Finish()
-	bestIdx, bestVal := dse.Best(values)
-	res := Result{
+	rep := slice.Report
+	return Result{
 		Analytic:       analytic,
 		Snapped:        center,
-		BestIdx:        bestIdx,
+		BestIdx:        slice.BestIdx,
+		BestPoint:      slice.BestPoint,
+		BestValue:      slice.BestValue,
+		Simulations:    len(rep.Completed) - rep.Resumed - rep.CacheHits + len(rep.Failed),
 		AnalyticPoints: analyticPoints,
-		Simulations:    len(report.Completed) - report.Resumed - report.CacheHits + len(report.Failed),
-		SpaceSize:      space.Size(),
-		Report:         report,
-		Engine:         eng.Stats().Delta(stats0),
+		SpaceSize:      slice.SpaceSize,
+		Report:         rep,
+		Engine:         slice.Engine,
+	}, err
+}
+
+// runState is the scaffold RunCtx and RunModelCtx share: the engine a
+// run evaluates on, its counters when the run started, and the run's
+// defaulted sweep options.
+type runState struct {
+	eng    *engine.Engine
+	stats0 engine.Stats
+	sweep  dse.SweepOptions
+}
+
+// startRun picks the run's engine — the shared one, or a private one
+// for this run that inherits ctx's observability and the sweep's retry
+// policy — and defaults the sweep options: Workers falls back to the
+// run's worker bound and the sweep rides the run's engine.
+func startRun(ctx context.Context, shared *engine.Engine, workers int, sweep dse.SweepOptions) runState {
+	eng := shared
+	if eng == nil {
+		eng = engine.New(engine.Options{
+			Workers: workers,
+			Retry:   sweep.Retry,
+			Tracer:  obs.TracerFrom(ctx),
+			Metrics: obs.MetricsFrom(ctx),
+		})
 	}
+	if sweep.Workers == 0 {
+		sweep.Workers = workers
+	}
+	sweep.Engine = eng
+	return runState{eng: eng, stats0: eng.Stats(), sweep: sweep}
+}
+
+// sweepBest sweeps the listed flat indices of space (nil: all of them)
+// with eval and reports the optimum, the resilience report and the
+// engine counter delta since the run started. An interrupted sweep and
+// a sweep without a feasible configuration are errors that still carry
+// the partial result; what names the sweep in them.
+func (r runState) sweepBest(ctx context.Context, eval dse.CtxEvaluator, space dse.Space, indices []int, what string) (ModelResult, error) {
+	values, report, err := dse.SweepCtx(ctx, eval, space, indices, r.sweep)
+	res := ModelResult{
+		Space:     space,
+		SpaceSize: space.Size(),
+		Report:    report,
+		Engine:    r.eng.Stats().Delta(r.stats0),
+	}
+	bestIdx, bestVal := dse.Best(values)
+	res.BestIdx = bestIdx
 	if bestIdx >= 0 {
 		res.BestPoint = space.Point(bestIdx)
 		res.BestValue = bestVal
 	}
-	if sweepErr != nil {
-		return res, fmt.Errorf("aps: simulated slice interrupted (%d/%d evaluated): %w",
-			len(report.Completed), report.Total, sweepErr)
+	if err != nil {
+		return res, fmt.Errorf("aps: %s interrupted (%d/%d evaluated): %w",
+			what, len(report.Completed), report.Total, err)
 	}
 	if bestIdx < 0 {
-		return res, fmt.Errorf("aps: no feasible configuration in the simulated slice")
+		return res, fmt.Errorf("aps: no feasible configuration in the %s", what)
 	}
 	return res, nil
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/model"
 )
 
 func testSetup(t *testing.T, per int) (core.Model, dse.Space, dse.Evaluator) {
@@ -17,7 +18,7 @@ func testSetup(t *testing.T, per int) (core.Model, dse.Space, dse.Evaluator) {
 	if err != nil {
 		t.Fatalf("ReducedSpace: %v", err)
 	}
-	return m, space, &dse.ModelEvaluator{Model: m}
+	return m, space, dse.NewFamilyEvaluator(model.NewC2Bound(m))
 }
 
 func TestRunBasic(t *testing.T) {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/engine"
+	"repro/internal/model"
 )
 
 // TestWarmEngineReusesSweepResults is the acceptance criterion of the
@@ -17,9 +18,9 @@ import (
 // cache, and still report the bit-identical optimum.
 func TestWarmEngineReusesSweepResults(t *testing.T) {
 	m, space, _ := testSetup(t, 3)
-	// ModelEvaluator implements CtxEvaluator and Fingerprinter directly,
+	// The family evaluator implements CtxEvaluator and Fingerprinter,
 	// so the sweep and the APS slice memoize under one key space.
-	eval := &dse.ModelEvaluator{Model: m}
+	eval := dse.NewFamilyEvaluator(model.NewC2Bound(m))
 	ctx := context.Background()
 	opts := Options{Optimize: core.Options{MaxN: 64}}
 
@@ -79,7 +80,7 @@ func TestWarmEngineReusesSweepResults(t *testing.T) {
 // of one design are deduplicated within a single APS invocation.
 func TestPrivateEngineSharesCacheWithinRun(t *testing.T) {
 	m, space, _ := testSetup(t, 3)
-	eval := &dse.ModelEvaluator{Model: m}
+	eval := dse.NewFamilyEvaluator(model.NewC2Bound(m))
 	res, err := RunCtx(context.Background(), m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)

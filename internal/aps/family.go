@@ -2,7 +2,6 @@ package aps
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/dse"
 	"repro/internal/engine"
@@ -39,20 +38,14 @@ type ModelResult struct {
 	Engine engine.Stats
 }
 
-// RunModel optimizes any registered model family over its declared
-// design space. It is the family-generic sibling of Run: the C²-Bound
-// family keeps the full APS flow (analytic KKT solve plus simulated
-// slice) because only it carries the analytic machinery; every family
-// gets the engine-batched exhaustive grid scan this entry point runs.
-func RunModel(m model.Model, opts ModelOptions) (ModelResult, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over RunModelCtx
-	return RunModelCtx(context.Background(), m, opts)
-}
-
-// RunModelCtx is RunModel with cancellation and resilience. The whole
-// grid rides the engine's batched path through the family's compiled
-// kernel; a repeated run on a shared engine re-reads the scan from
-// cache.
+// RunModelCtx optimizes any registered model family over its declared
+// design space. It is the family-generic sibling of RunCtx: the
+// C²-Bound family keeps the full APS flow (analytic KKT solve plus
+// simulated slice) because only it carries the analytic machinery;
+// every family gets the engine-batched exhaustive grid scan this entry
+// point runs. The whole grid rides the engine's batched path through the
+// family's compiled kernel; a repeated run on a shared engine re-reads
+// the scan from cache.
 func RunModelCtx(ctx context.Context, m model.Model, opts ModelOptions) (ModelResult, error) {
 	space, err := dse.SpaceFor(m, opts.Per)
 	if err != nil {
@@ -64,41 +57,6 @@ func RunModelCtx(ctx context.Context, m model.Model, opts ModelOptions) (ModelRe
 	ctx, runSp := tr.Start(ctx, "aps.run-model", obs.I("space_size", int64(space.Size())))
 	defer runSp.Finish()
 
-	eng := opts.Engine
-	if eng == nil {
-		eng = engine.New(engine.Options{
-			Workers: opts.Workers,
-			Retry:   opts.Sweep.Retry,
-			Tracer:  tr,
-			Metrics: obs.MetricsFrom(ctx),
-		})
-	}
-	stats0 := eng.Stats()
-
-	sweepOpts := opts.Sweep
-	if sweepOpts.Workers == 0 {
-		sweepOpts.Workers = opts.Workers
-	}
-	sweepOpts.Engine = eng
-	values, report, sweepErr := dse.SweepCtx(ctx, dse.NewFamilyEvaluator(m), space, nil, sweepOpts)
-	bestIdx, bestVal := dse.Best(values)
-	res := ModelResult{
-		Space:     space,
-		BestIdx:   bestIdx,
-		SpaceSize: space.Size(),
-		Report:    report,
-		Engine:    eng.Stats().Delta(stats0),
-	}
-	if bestIdx >= 0 {
-		res.BestPoint = space.Point(bestIdx)
-		res.BestValue = bestVal
-	}
-	if sweepErr != nil {
-		return res, fmt.Errorf("aps: model grid scan interrupted (%d/%d evaluated): %w",
-			len(report.Completed), report.Total, sweepErr)
-	}
-	if bestIdx < 0 {
-		return res, fmt.Errorf("aps: no feasible configuration for %s", m.Fingerprint())
-	}
-	return res, nil
+	r := startRun(ctx, opts.Engine, opts.Workers, opts.Sweep)
+	return r.sweepBest(ctx, dse.NewFamilyEvaluator(m), space, nil, "model grid scan")
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -30,7 +31,7 @@ func TestEngineMetricsBitExact(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 2, Tracer: tr, Metrics: reg})
 	ctx := obs.ContextWithMetrics(obs.ContextWithTracer(context.Background(), tr), reg)
 
-	eval := &dse.ModelEvaluator{Model: m}
+	eval := dse.NewFamilyEvaluator(model.NewC2Bound(m))
 	opts := Options{Engine: eng, Optimize: core.Options{MaxN: 64}}
 	if _, err := RunCtx(ctx, m, space, eval, opts); err != nil {
 		t.Fatalf("cold APS run: %v", err)

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/model"
 	"repro/internal/robust"
 )
 
@@ -75,7 +76,7 @@ func TestRunCtxCancelledBeforeSweep(t *testing.T) {
 func TestRunCtxCancelMidSweepReturnsPartialReport(t *testing.T) {
 	m, space, _ := testSetup(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
-	inner := &dse.ModelEvaluator{Model: m}
+	inner := dse.NewFamilyEvaluator(model.NewC2Bound(m))
 	calls := 0
 	eval := robust.EvaluatorFunc(func(c context.Context, p []float64) (float64, error) {
 		calls++

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/robust"
 )
 
@@ -56,11 +57,15 @@ func runDiffSweep(t *testing.T, ev CtxEvaluator, s Space, passes int) ([]float64
 	return values, stats
 }
 
-// scalarOracle evaluates every point of s with a fresh ModelEvaluator's
-// EvaluateCtx — core.Model.Evaluate, outside the engine.
+// c2Eval wraps a catalog model as the c2bound family evaluator.
+func c2Eval(m core.Model) *FamilyEvaluator { return NewFamilyEvaluator(model.NewC2Bound(m)) }
+
+// scalarOracle evaluates every point of s with a fresh family evaluator's
+// EvaluateCtx — the family's Direct path (core.Model.Evaluate plus the
+// issue/ROB corrections), outside the engine and the compiled kernel.
 func scalarOracle(t *testing.T, m core.Model, s Space) []float64 {
 	t.Helper()
-	ev := &ModelEvaluator{Model: m}
+	ev := c2Eval(m)
 	vals := make([]float64, s.Size())
 	for i := range vals {
 		v, err := ev.EvaluateCtx(context.Background(), s.Point(i))
@@ -105,7 +110,7 @@ func TestDifferentialBatchVsScalar(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReducedSpace: %v", err)
 			}
-			vals, stats := runDiffSweep(t, &ModelEvaluator{Model: m}, s, 2)
+			vals, stats := runDiffSweep(t, c2Eval(m), s, 2)
 			assertBitIdentical(t, vals, scalarOracle(t, m, s))
 
 			n := uint64(s.Size())
@@ -128,14 +133,14 @@ var errTransient = errors.New("injected transient fault")
 // batched method, so the differential test exercises the retry
 // machinery.
 type faultInjector struct {
-	inner *ModelEvaluator
+	inner *FamilyEvaluator
 
 	mu   sync.Mutex
 	seen map[uint64]bool // point key -> first attempt already failed
 }
 
 func newFaultInjector(m core.Model) *faultInjector {
-	return &faultInjector{inner: &ModelEvaluator{Model: m}, seen: make(map[uint64]bool)}
+	return &faultInjector{inner: c2Eval(m), seen: make(map[uint64]bool)}
 }
 
 // pointKey mixes the coordinates into a deterministic identity. A test

@@ -1,9 +1,10 @@
-// Package dse defines the design space of the paper's §IV experiment —
-// six microarchitecture parameters (core area A0, L1 area A1, L2 slice
-// area A2, core count N, issue width, ROB size) with ten candidate values
-// each, a 10⁶-point space — together with enumeration, nearest-point
-// snapping, slice extraction and a parallel brute-force sweep that serves
-// as the ground truth APS and the ANN baseline are measured against.
+// Package dse sweeps design spaces, first among them the paper's §IV
+// experiment — six microarchitecture parameters (core area A0, L1 area
+// A1, L2 slice area A2, core count N, issue width, ROB size) with ten
+// candidate values each, a 10⁶-point space declared by the c2bound model
+// family — with enumeration, nearest-point snapping, slice extraction and
+// a parallel brute-force sweep that serves as the ground truth APS and
+// the ANN baseline are measured against.
 package dse
 
 import (

@@ -7,13 +7,16 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
+// paperSpace is the full §IV grid of the c2bound family on the default
+// chip.
 func paperSpace(t *testing.T) Space {
 	t.Helper()
-	s, err := PaperSpace(chip.DefaultConfig())
+	s, err := SpaceFor(familyModel(t, model.FamilyC2Bound), 0)
 	if err != nil {
-		t.Fatalf("PaperSpace: %v", err)
+		t.Fatalf("SpaceFor: %v", err)
 	}
 	return s
 }
@@ -30,7 +33,7 @@ func TestNewSpaceValidation(t *testing.T) {
 	}
 }
 
-func TestPaperSpaceIsMillionPoints(t *testing.T) {
+func TestPaperGridIsMillionPoints(t *testing.T) {
 	s := paperSpace(t)
 	if s.Size() != 1000000 {
 		t.Fatalf("paper space size = %d, want 10^6", s.Size())
@@ -40,7 +43,7 @@ func TestPaperSpaceIsMillionPoints(t *testing.T) {
 	}
 }
 
-func TestPaperSpaceAllFeasible(t *testing.T) {
+func TestPaperGridAllFeasible(t *testing.T) {
 	// The ground-truth sweep must have no infeasible holes: check the
 	// worst corner (max everything) and a sample of corners.
 	s := paperSpace(t)
@@ -215,7 +218,7 @@ func TestReducedSpace(t *testing.T) {
 		t.Fatalf("reduced size = %d, want 3^6", s.Size())
 	}
 	// Largest values preserved.
-	full, _ := PaperSpace(cfg)
+	full := paperSpace(t)
 	for d := range s.Params {
 		fv := full.Params[d].Values
 		rv := s.Params[d].Values
@@ -284,9 +287,11 @@ func TestSimEvaluatorDeterministic(t *testing.T) {
 	}
 }
 
-func TestModelEvaluator(t *testing.T) {
-	m := core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}
-	ev := &ModelEvaluator{Model: m}
+// TestC2BoundFamilyEvaluator checks the paper objective's shape through
+// the family evaluator: the issue/ROB corrections reward wider cores, and
+// infeasible or malformed points score +Inf.
+func TestC2BoundFamilyEvaluator(t *testing.T) {
+	ev := NewFamilyEvaluator(model.NewC2Bound(core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}))
 	good := ev.Evaluate([]float64{4, 1, 4, 8, 4, 128})
 	if math.IsInf(good, 1) {
 		t.Fatal("feasible point infinite")

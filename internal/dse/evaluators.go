@@ -4,10 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/sim"
 	"repro/internal/sim/cache"
 	"repro/internal/trace"
@@ -23,57 +23,15 @@ const (
 	DimROB   = "ROB"
 )
 
-// PaperSpace returns the §IV design space: six parameters, ten values
-// each (10⁶ configurations), chosen so every combination fits the chip
-// budget of cfg (so the ground-truth sweep has no infeasible holes, as in
-// the paper's full-space simulation).
-func PaperSpace(cfg chip.Config) (Space, error) {
-	ns := []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
-	maxPerCore := (cfg.TotalArea - cfg.FixedArea) / ns[len(ns)-1]
-	// Split the per-core budget so A0+A1+A2 maxima sum below maxPerCore.
-	a0Max := 0.42 * maxPerCore
-	a1Max := 0.18 * maxPerCore
-	a2Max := 0.38 * maxPerCore
-	steps := func(max float64) []float64 {
-		vals := make([]float64, 10)
-		for i := range vals {
-			vals[i] = max * float64(i+1) / 10
-		}
-		return vals
-	}
-	return NewSpace(
-		Param{Name: DimA0, Values: steps(a0Max)},
-		Param{Name: DimA1, Values: steps(a1Max)},
-		Param{Name: DimA2, Values: steps(a2Max)},
-		Param{Name: DimN, Values: ns},
-		Param{Name: DimIssue, Values: []float64{1, 2, 3, 4, 5, 6, 7, 8, 12, 16}},
-		Param{Name: DimROB, Values: []float64{16, 32, 48, 64, 96, 128, 160, 192, 224, 256}},
-	)
-}
-
-// ReducedSpace returns a smaller space with the same six dimensions and
-// `per` values per dimension (per ≤ 10), for tests and benches where the
-// full 10⁶-point sweep would be too slow. Values subsample PaperSpace's.
+// ReducedSpace returns the c2bound family's §IV paper space (see
+// model.C2Bound.Space) over the chip cfg, subsampled to `per` values per
+// dimension (1 ≤ per ≤ 10; 10 is the full 10⁶-point grid), for tests,
+// benches and CLIs where the full sweep would be too slow.
 func ReducedSpace(cfg chip.Config, per int) (Space, error) {
 	if per < 1 || per > 10 {
 		return Space{}, fmt.Errorf("dse: reduced space needs 1..10 values per dim, got %d", per)
 	}
-	full, err := PaperSpace(cfg)
-	if err != nil {
-		return Space{}, err
-	}
-	params := make([]Param, len(full.Params))
-	for i, p := range full.Params {
-		vals := make([]float64, per)
-		for j := 0; j < per; j++ {
-			// Spread selections across the full range, always including
-			// the largest value.
-			k := (j + 1) * len(p.Values) / per
-			vals[j] = p.Values[k-1]
-		}
-		params[i] = Param{Name: p.Name, Values: vals}
-	}
-	return NewSpace(params...)
+	return SpaceFor(model.NewC2Bound(core.Model{Chip: cfg}), per)
 }
 
 // SimEvaluator scores configurations with the many-core simulator: a
@@ -214,102 +172,4 @@ func (e *SimEvaluator) EvaluateCtx(ctx context.Context, point []float64) (float6
 		return math.NaN(), err
 	}
 	return float64(res.Cycles), nil
-}
-
-// ModelEvaluator scores configurations with the analytic C²-Bound model
-// plus simple first-order corrections for the two microarchitectural
-// dimensions the analytic model does not carry (issue width and ROB).
-// It is the catalog evaluator behind the server, the CLIs and the
-// benchmarks; whole planes ride the engine's batched path through the
-// compiled (fingerprint-specialized) kernel, which is bit-identical to
-// the scalar path. Use by pointer — the lazy compile state must not be
-// copied.
-type ModelEvaluator struct {
-	Model core.Model
-
-	compileOnce sync.Once
-	compiled    *core.Compiled
-	compileErr  error
-}
-
-// EvaluateCtx implements CtxEvaluator.
-func (e *ModelEvaluator) EvaluateCtx(ctx context.Context, point []float64) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return math.NaN(), err
-	}
-	return e.Evaluate(point), nil
-}
-
-// Fingerprint implements engine.Fingerprinter via the model's canonical
-// identity.
-func (e *ModelEvaluator) Fingerprint() string {
-	return "dse.ModelEvaluator{" + e.Model.Fingerprint() + "}"
-}
-
-// Evaluate implements Evaluator.
-func (e *ModelEvaluator) Evaluate(point []float64) float64 {
-	if len(point) != 6 {
-		return math.Inf(1)
-	}
-	d := chip.Design{
-		N:        int(point[3] + 0.5),
-		CoreArea: point[0],
-		L1Area:   point[1],
-		L2Area:   point[2],
-	}
-	t := e.Model.TimeAt(d)
-	if math.IsInf(t, 1) {
-		return t
-	}
-	issue, rob := point[4], point[5]
-	// Narrow issue serializes instruction delivery; a small ROB caps the
-	// memory overlap the C-AMAT concurrency assumed.
-	return t * (1 + 0.6/issue) * (1 + 24/rob)
-}
-
-// EvaluateBatch implements engine.BatchEvaluator: the whole plane runs
-// through the compiled kernel (constants folded once per fingerprint),
-// bit-identical to per-point Evaluate. The model compiles lazily on the
-// first batch; a profile the compiler rejects falls back to the scalar
-// path so the two paths can never disagree.
-func (e *ModelEvaluator) EvaluateBatch(ctx context.Context, points [][]float64, out []float64) error {
-	e.compileOnce.Do(func() {
-		e.compiled, e.compileErr = e.Model.Compile()
-	})
-	if e.compileErr != nil {
-		for i, p := range points {
-			if i&255 == 0 {
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-			}
-			out[i] = e.Evaluate(p)
-		}
-		return nil
-	}
-	c := e.compiled
-	for i, p := range points {
-		if i&255 == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		if len(p) != 6 {
-			out[i] = math.Inf(1)
-			continue
-		}
-		t := c.TimeAt(chip.Design{
-			N:        int(p[3] + 0.5),
-			CoreArea: p[0],
-			L1Area:   p[1],
-			L2Area:   p[2],
-		})
-		if math.IsInf(t, 1) {
-			out[i] = t
-			continue
-		}
-		issue, rob := p[4], p[5]
-		out[i] = t * (1 + 0.6/issue) * (1 + 24/rob)
-	}
-	return nil
 }

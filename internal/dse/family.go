@@ -11,10 +11,8 @@ import (
 
 // SpaceFor converts a model family's declared design space into a sweep
 // Space, subsampled to at most `per` values per dimension (per ≤ 0
-// keeps the family's full default grids). For the c2bound family the
-// result is identical to ReducedSpace/PaperSpace — the subsample rule
-// is shared — so family-generic callers and the paper-space helpers
-// sweep the same designs.
+// keeps the family's full default grids). For the c2bound family this is
+// the §IV paper space; ReducedSpace is its range-checked shorthand.
 func SpaceFor(m model.Model, per int) (Space, error) {
 	ms := m.Space()
 	grids, err := ms.Grids(per)
@@ -29,11 +27,11 @@ func SpaceFor(m model.Model, per int) (Space, error) {
 }
 
 // FamilyEvaluator scores configurations with any registered model
-// family. It is the family-generic sibling of ModelEvaluator: the
-// scalar path uses the family's direct (uncompiled) evaluation, whole
-// planes ride the engine's batched path through the compiled kernel,
-// and the family contract makes the two bit-identical. Use by pointer —
-// the lazy compile state must not be copied.
+// family, the c2bound paper objective included: the scalar path uses
+// the family's direct (uncompiled) evaluation, whole planes ride the
+// engine's batched path through the compiled kernel, and the family
+// contract makes the two bit-identical. Use by pointer — the lazy
+// compile state must not be copied.
 type FamilyEvaluator struct {
 	M model.Model
 

@@ -3,6 +3,7 @@ package dse
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/chip"
@@ -21,10 +22,26 @@ func familyModel(t *testing.T, name string) model.Model {
 	return m
 }
 
-// TestSpaceForMatchesReducedSpace pins the compatibility contract: the
-// family-generic space of the c2bound family equals the paper-space
-// helpers exactly, both full (PaperSpace) and subsampled (ReducedSpace),
-// so old and new callers sweep identical designs.
+// paperGridBits is the default-chip §IV paper grid as IEEE-754 bit
+// patterns, recorded from the grid's original stand-alone definition. It
+// is the reference the c2bound family's Space is held to now that the
+// family is the grid's only definition.
+var paperGridBits = []struct {
+	name string
+	bits []uint64
+}{
+	{"A0", []uint64{0x3fde3d70a3d70a3d, 0x3fee3d70a3d70a3d, 0x3ff6ae147ae147ae, 0x3ffe3d70a3d70a3d, 0x4002e66666666666, 0x4006ae147ae147ae, 0x400a75c28f5c28f5, 0x400e3d70a3d70a3d, 0x4011028f5c28f5c2, 0x4012e66666666666}},
+	{"A1", []uint64{0x3fc9eb851eb851eb, 0x3fd9eb851eb851eb, 0x3fe370a3d70a3d70, 0x3fe9eb851eb851eb, 0x3ff0333333333333, 0x3ff370a3d70a3d70, 0x3ff6ae147ae147ae, 0x3ff9eb851eb851eb, 0x3ffd28f5c28f5c28, 0x4000333333333333}},
+	{"A2", []uint64{0x3fdb5c28f5c28f5d, 0x3feb5c28f5c28f5d, 0x3ff4851eb851eb86, 0x3ffb5c28f5c28f5d, 0x400119999999999a, 0x4004851eb851eb86, 0x4007f0a3d70a3d72, 0x400b5c28f5c28f5d, 0x400ec7ae147ae148, 0x401119999999999a}},
+	{"N", []uint64{0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000, 0x4010000000000000, 0x4018000000000000, 0x4020000000000000, 0x4028000000000000, 0x4030000000000000, 0x4038000000000000, 0x4040000000000000}},
+	{"Issue", []uint64{0x3ff0000000000000, 0x4000000000000000, 0x4008000000000000, 0x4010000000000000, 0x4014000000000000, 0x4018000000000000, 0x401c000000000000, 0x4020000000000000, 0x4028000000000000, 0x4030000000000000}},
+	{"ROB", []uint64{0x4030000000000000, 0x4040000000000000, 0x4048000000000000, 0x4050000000000000, 0x4058000000000000, 0x4060000000000000, 0x4064000000000000, 0x4068000000000000, 0x406c000000000000, 0x4070000000000000}},
+}
+
+// TestSpaceForMatchesReducedSpace pins the c2bound family's space to the
+// recorded paper grid bit for bit, both full (per=0) and subsampled —
+// every kept value is golden[(j+1)·10/per − 1] — and ReducedSpace to the
+// same subsample, so every caller sweeps the paper's designs.
 func TestSpaceForMatchesReducedSpace(t *testing.T) {
 	m := familyModel(t, model.FamilyC2Bound)
 	for _, per := range []int{0, 1, 2, 3, 5, 10} {
@@ -32,50 +49,35 @@ func TestSpaceForMatchesReducedSpace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var want Space
-		if per == 0 {
-			want, err = PaperSpace(chip.DefaultConfig())
-		} else {
-			want, err = ReducedSpace(chip.DefaultConfig(), per)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got.Params) != len(want.Params) {
-			t.Fatalf("per=%d: %d dims, want %d", per, len(got.Params), len(want.Params))
-		}
-		for i := range got.Params {
-			if got.Params[i].Name != want.Params[i].Name {
-				t.Fatalf("per=%d dim %d: name %q, want %q", per, i, got.Params[i].Name, want.Params[i].Name)
+		if per > 0 {
+			red, err := ReducedSpace(chip.DefaultConfig(), per)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if len(got.Params[i].Values) != len(want.Params[i].Values) {
-				t.Fatalf("per=%d dim %s: %d values, want %d", per, got.Params[i].Name, len(got.Params[i].Values), len(want.Params[i].Values))
+			if !reflect.DeepEqual(red, got) {
+				t.Fatalf("per=%d: ReducedSpace %v != SpaceFor %v", per, red.Params, got.Params)
 			}
-			for j := range got.Params[i].Values {
-				if math.Float64bits(got.Params[i].Values[j]) != math.Float64bits(want.Params[i].Values[j]) {
-					t.Fatalf("per=%d dim %s[%d]: %v, want %v", per, got.Params[i].Name, j, got.Params[i].Values[j], want.Params[i].Values[j])
+		}
+		if len(got.Params) != len(paperGridBits) {
+			t.Fatalf("per=%d: %d dims, want %d", per, len(got.Params), len(paperGridBits))
+		}
+		for i, g := range paperGridBits {
+			want := g.bits
+			if per > 0 {
+				want = make([]uint64, per)
+				for j := range want {
+					want[j] = g.bits[(j+1)*len(g.bits)/per-1]
 				}
 			}
-		}
-	}
-}
-
-// TestFamilyEvaluatorMatchesModelEvaluator pins the c2bound family to
-// the original catalog evaluator bit-for-bit over a reduced space.
-func TestFamilyEvaluatorMatchesModelEvaluator(t *testing.T) {
-	m := familyModel(t, model.FamilyC2Bound)
-	fam := NewFamilyEvaluator(m)
-	old := &ModelEvaluator{Model: core.Model{Chip: chip.DefaultConfig(), App: core.TMMApp()}}
-	s, err := ReducedSpace(chip.DefaultConfig(), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for idx := 0; idx < s.Size(); idx++ {
-		p := s.Point(idx)
-		got := fam.Evaluate(p)
-		want := old.Evaluate(p)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("point %v: family=%x model=%x", p, math.Float64bits(got), math.Float64bits(want))
+			p := got.Params[i]
+			if p.Name != g.name || len(p.Values) != len(want) {
+				t.Fatalf("per=%d dim %d: %s with %d values, want %s with %d", per, i, p.Name, len(p.Values), g.name, len(want))
+			}
+			for j, v := range p.Values {
+				if math.Float64bits(v) != want[j] {
+					t.Fatalf("per=%d dim %s[%d]: %#016x, want %#016x", per, p.Name, j, math.Float64bits(v), want[j])
+				}
+			}
 		}
 	}
 }

@@ -11,18 +11,18 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/model"
 	"repro/internal/robust"
 )
 
-func modelEvalSpace(t *testing.T, per int) (*ModelEvaluator, Space) {
+func modelEvalSpace(t *testing.T, per int) (*FamilyEvaluator, Space) {
 	t.Helper()
 	cfg := chip.DefaultConfig()
 	s, err := ReducedSpace(cfg, per)
 	if err != nil {
 		t.Fatalf("ReducedSpace: %v", err)
 	}
-	m := core.Model{Chip: cfg, App: core.FluidanimateApp()}
-	return &ModelEvaluator{Model: m}, s
+	return NewFamilyEvaluator(model.NewC2Bound(core.Model{Chip: cfg, App: core.FluidanimateApp()})), s
 }
 
 func TestSweepCtxMatchesPlainSweep(t *testing.T) {

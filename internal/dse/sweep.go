@@ -15,7 +15,7 @@ import (
 )
 
 // CtxEvaluator is the resilient evaluator contract: context-aware and
-// fallible. dse.SimEvaluator and dse.ModelEvaluator implement it; plain
+// fallible. dse.SimEvaluator and dse.FamilyEvaluator implement it; plain
 // Evaluators adapt through WithContext.
 type CtxEvaluator = robust.Evaluator
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/dse"
+	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/tablefmt"
 )
@@ -21,8 +22,9 @@ type ValidationResult struct {
 }
 
 // CrossValidate samples design points from the reduced space, scores each
-// with both the analytic model (plus the issue/ROB corrections of
-// dse.ModelEvaluator) and the full simulator, and reports rank agreement.
+// with both the analytic model (the c2bound family objective, with its
+// issue/ROB corrections) and the full simulator, and reports rank
+// agreement.
 func CrossValidate(sc Scale, samples int) (*tablefmt.Table, ValidationResult, error) {
 	sc.fill()
 	if samples < 4 {
@@ -37,7 +39,7 @@ func CrossValidate(sc Scale, samples int) (*tablefmt.Table, ValidationResult, er
 	if err != nil {
 		return nil, ValidationResult{}, err
 	}
-	modelEval := &dse.ModelEvaluator{Model: m}
+	modelEval := dse.NewFamilyEvaluator(model.NewC2Bound(m))
 
 	// Deterministic sample of distinct indices.
 	rng := sc.Seed*0x9e3779b97f4a7c15 + 0x51ca

@@ -15,22 +15,29 @@ func init() {
 		Name: FamilyC2Bound,
 		Doc:  "the paper's capacity/concurrency Eq. 10 objective with first-order issue/ROB corrections",
 		New: func(cfg Config) (Model, error) {
-			m := &C2Bound{m: core.Model{Chip: cfg.Chip, App: cfg.App}}
 			if err := cfg.App.Validate(); err != nil {
 				return nil, err
 			}
-			return m, nil
+			return NewC2Bound(core.Model{Chip: cfg.Chip, App: cfg.App}), nil
 		},
 	})
 }
 
-// C2Bound adapts the paper's C²-Bound model (core.Model plus the
-// issue/ROB corrections of dse.ModelEvaluator) to the family contract.
-// Its six-dimensional space is the §IV paper space: per-core area split
-// (A0, A1, A2), core count N, issue width and ROB size.
+// C2Bound adapts the paper's C²-Bound model (core.Model plus first-order
+// issue/ROB corrections) to the family contract. It is the only
+// definition of the c2bound objective and of the §IV paper grid: the
+// server catalog, the CLIs, the experiments and the façade all score
+// c2bound points through it (via dse.FamilyEvaluator). Its
+// six-dimensional space is per-core area split (A0, A1, A2), core count
+// N, issue width and ROB size.
 type C2Bound struct {
 	m core.Model
 }
+
+// NewC2Bound wraps a core.Model as the c2bound family, for callers that
+// already hold a validated model (the registry path, New, validates the
+// application profile first).
+func NewC2Bound(m core.Model) *C2Bound { return &C2Bound{m: m} }
 
 // CoreModel returns the wrapped core.Model, for consumers that need the
 // analytic machinery only the paper's family carries (the KKT optimizer,
@@ -42,15 +49,16 @@ func (m *C2Bound) Fingerprint() string {
 	return FingerprintPrefix(FamilyC2Bound) + m.m.Fingerprint()
 }
 
-// Space implements Model: the six paper dimensions with the same grids
-// as dse.PaperSpace (ten values each, chosen so every combination fits
-// the chip budget).
+// Space implements Model: the §IV paper grid, six dimensions with ten
+// values each (10⁶ configurations), chosen so every combination fits the
+// chip budget (the ground-truth sweep has no infeasible holes, as in the
+// paper's full-space simulation).
 func (m *C2Bound) Space() Space {
 	cfg := m.m.Chip
 	ns := []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
 	maxPerCore := (cfg.TotalArea - cfg.FixedArea) / ns[len(ns)-1]
-	// The same per-core budget split as dse.PaperSpace: A0+A1+A2 maxima
-	// sum below maxPerCore so the full grid has no infeasible holes.
+	// Split the per-core budget so the A0+A1+A2 maxima sum below
+	// maxPerCore.
 	steps := func(max float64) []float64 {
 		vals := make([]float64, 10)
 		for i := range vals {
@@ -116,8 +124,8 @@ func c2Design(point []float64) (chip.Design, bool) {
 	}, true
 }
 
-// c2Correct applies the first-order issue/ROB corrections of
-// dse.ModelEvaluator: narrow issue serializes instruction delivery; a
+// c2Correct applies the first-order issue/ROB corrections the analytic
+// model does not carry: narrow issue serializes instruction delivery; a
 // small ROB caps the memory overlap the C-AMAT concurrency assumed.
 func c2Correct(t float64, point []float64) float64 {
 	issue, rob := point[4], point[5]

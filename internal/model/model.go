@@ -115,8 +115,7 @@ func (s Space) Check(point []float64) error {
 // Grids returns the per-dimension sweep grids, subsampled to at most
 // `per` values per dimension (per ≤ 0 keeps the full default grids).
 // Subsampling spreads selections across each grid and always keeps the
-// largest value, mirroring dse.ReducedSpace so a family-generic caller
-// and the paper-space helpers agree on the same grids.
+// largest value; dse.SpaceFor and dse.ReducedSpace both build on it.
 func (s Space) Grids(per int) ([][]float64, error) {
 	grids := make([][]float64, len(s.Params))
 	for i, p := range s.Params {

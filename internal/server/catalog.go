@@ -201,27 +201,19 @@ func checkSchema(spec ModelSpec) error {
 	return nil
 }
 
-// Resolve builds the C²-Bound model a spec describes, validating every
-// override against its documented domain and the assembled profile
-// against App.Validate. It serves the c2bound-only call sites (the KKT
-// optimizer, the simulator evaluator); family-generic paths go through
-// ResolveModel.
+// Resolve builds the C²-Bound model a spec describes: ResolveModel,
+// restricted to the c2bound family. It serves the c2bound-only call
+// sites (the KKT optimizer, the simulator evaluator).
 func (c *Catalog) Resolve(spec ModelSpec) (core.Model, error) {
-	if err := checkSchema(spec); err != nil {
-		return core.Model{}, err
-	}
-	if spec.Family != "" && spec.Family != model.FamilyC2Bound {
-		return core.Model{}, validationf("server: family %q has no analytic C²-Bound form; this endpoint needs family %q", spec.Family, model.FamilyC2Bound)
-	}
-	app, cfg, err := c.resolveAppChip(spec)
+	m, err := c.ResolveModel(spec)
 	if err != nil {
 		return core.Model{}, err
 	}
-	m := core.Model{Chip: cfg, App: app}
-	if err := m.App.Validate(); err != nil {
-		return core.Model{}, err
+	cb, ok := m.(*model.C2Bound)
+	if !ok {
+		return core.Model{}, validationf("server: family %q has no analytic C²-Bound form; this endpoint needs family %q", spec.Family, model.FamilyC2Bound)
 	}
-	return m, nil
+	return cb.CoreModel(), nil
 }
 
 // FamilyName returns the effective family of a spec: the "family" field
@@ -234,11 +226,12 @@ func FamilyName(spec ModelSpec) string {
 }
 
 // ResolveModel builds the model-family instance a spec describes:
-// application and chip overrides resolve exactly as Resolve, then the
-// named family is constructed through the model registry, which
-// validates the family parameters against their documented domains.
+// application and chip overrides are validated against their documented
+// domains, then the named family is constructed through the model
+// registry, which validates the family parameters the same way.
 // Absent family fields default to c2bound, so a catalog/1 spec resolves
-// to the same model (and the same engine fingerprint) as before.
+// to the same model (and the same engine fingerprint) as its explicit
+// catalog/2 spelling.
 func (c *Catalog) ResolveModel(spec ModelSpec) (model.Model, error) {
 	if err := checkSchema(spec); err != nil {
 		return nil, err
@@ -257,37 +250,20 @@ func (c *Catalog) ResolveModel(spec ModelSpec) (model.Model, error) {
 // Families lists the registered model families, sorted.
 func (c *Catalog) Families() []string { return model.Names() }
 
-// Space builds the design space a spec describes for the given model.
+// Space builds the design space a spec describes for a C²-Bound model:
+// SpaceFamily over the c2bound family.
 func (c *Catalog) Space(m core.Model, spec SpaceSpec) (dse.Space, error) {
-	switch {
-	case spec.Per > 0 && len(spec.Params) > 0:
-		return dse.Space{}, validationf("server: space spec carries both per and params; pick one")
-	case spec.Per > 0:
-		s, err := dse.ReducedSpace(m.Chip, spec.Per)
-		if err != nil {
-			return dse.Space{}, validationf("server: %v", err)
-		}
-		return s, nil
-	case len(spec.Params) > 0:
-		params := make([]dse.Param, len(spec.Params))
-		for i, p := range spec.Params {
-			params[i] = dse.Param{Name: p.Name, Values: p.Values}
-		}
-		s, err := dse.NewSpace(params...)
-		if err != nil {
-			return dse.Space{}, validationf("server: %v", err)
-		}
-		return s, nil
-	default:
-		return dse.Space{}, validationf("server: space spec needs per or params")
-	}
+	return c.SpaceFamily(model.NewC2Bound(m), spec)
 }
 
-// Evaluator builds the scoring evaluator a spec describes for the model.
+// Evaluator builds the scoring evaluator a spec describes for a
+// C²-Bound model: the c2bound family evaluator (kind "model", keyed by
+// the family fingerprint every other c2bound path uses) or the
+// simulator (kind "sim").
 func (c *Catalog) Evaluator(m core.Model, spec EvaluatorSpec) (dse.CtxEvaluator, error) {
 	switch spec.Kind {
 	case "", "model":
-		return &dse.ModelEvaluator{Model: m}, nil
+		return dse.NewFamilyEvaluator(model.NewC2Bound(m)), nil
 	case "sim":
 		workload := spec.Workload
 		if workload == "" {
@@ -319,15 +295,23 @@ func (c *Catalog) Evaluator(m core.Model, spec EvaluatorSpec) (dse.CtxEvaluator,
 	}
 }
 
-// SpaceFamily builds the design space a spec describes for a
-// family-generic model: Per subsamples the family's declared grids,
-// Params is an explicit grid, and an empty spec takes the family's full
-// default grids. For the c2bound family Per produces exactly
-// dse.ReducedSpace, so catalog/1 requests sweep identical designs.
+// SpaceFamily builds the design space a spec describes for a model:
+// Per subsamples the family's declared grids, Params is an explicit
+// grid, and an empty spec takes the family's full default grids. The
+// c2bound family keeps its catalog/1 rules — per (1..10, as
+// dse.ReducedSpace) or params is required — so the 10⁶-point paper grid
+// is never swept by omission.
 func (c *Catalog) SpaceFamily(m model.Model, spec SpaceSpec) (dse.Space, error) {
+	_, paper := m.(*model.C2Bound)
 	switch {
+	case spec.Per < 0:
+		return dse.Space{}, validationf("server: space per=%d is negative", spec.Per)
 	case spec.Per > 0 && len(spec.Params) > 0:
 		return dse.Space{}, validationf("server: space spec carries both per and params; pick one")
+	case paper && spec.Per == 0 && len(spec.Params) == 0:
+		return dse.Space{}, validationf("server: space spec needs per or params")
+	case paper && spec.Per > 10:
+		return dse.Space{}, validationf("server: space per=%d outside 1..10", spec.Per)
 	case len(spec.Params) > 0:
 		params := make([]dse.Param, len(spec.Params))
 		for i, p := range spec.Params {
@@ -347,19 +331,18 @@ func (c *Catalog) SpaceFamily(m model.Model, spec SpaceSpec) (dse.Space, error) 
 	}
 }
 
-// EvaluatorFamily builds the scoring evaluator for a family-generic
-// model. The c2bound family keeps returning the original
-// dse.ModelEvaluator — same fingerprint, so old and new clients share
-// memo entries — and is the only family the simulator can score (its
-// points are chip designs; other families' points are not).
+// EvaluatorFamily builds the scoring evaluator for a model: the family
+// evaluator, keyed by the model's family-qualified fingerprint, or the
+// simulator, which only the c2bound family can use (its points are chip
+// designs; other families' points are not).
 func (c *Catalog) EvaluatorFamily(m model.Model, spec EvaluatorSpec) (dse.CtxEvaluator, error) {
-	if cb, ok := m.(*model.C2Bound); ok {
-		return c.Evaluator(cb.CoreModel(), spec)
-	}
 	switch spec.Kind {
 	case "", "model":
 		return dse.NewFamilyEvaluator(m), nil
 	case "sim":
+		if cb, ok := m.(*model.C2Bound); ok {
+			return c.Evaluator(cb.CoreModel(), spec)
+		}
 		return nil, validationf("server: evaluator kind \"sim\" needs the %s family (simulator points are chip designs)", model.FamilyC2Bound)
 	default:
 		return nil, validationf("server: unknown evaluator kind %q (want model or sim)", spec.Kind)

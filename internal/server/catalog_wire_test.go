@@ -7,8 +7,10 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"strings"
 	"testing"
 
+	"repro/internal/dse"
 	"repro/internal/engine"
 	"repro/internal/model"
 )
@@ -54,8 +56,10 @@ func TestModelSpecWireCompatibility(t *testing.T) {
 		t.Fatalf("catalog/1 fingerprint %q != catalog/2 fingerprint %q", m1.Fingerprint(), m2.Fingerprint())
 	}
 
-	// 3. The evaluator fingerprints agree too — and match the original
-	// pre-family evaluator, so old clients keep their warm cache.
+	// 3. One memo identity: both wire versions, the core.Model catalog
+	// path and the in-process family evaluator the library and the
+	// benchmark oracles use all key the c2bound objective by the same
+	// family-qualified fingerprint, so every path shares cache entries.
 	ev1, err := c.EvaluatorFamily(m1, EvaluatorSpec{})
 	if err != nil {
 		t.Fatal(err)
@@ -64,21 +68,28 @@ func TestModelSpecWireCompatibility(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp1 := ev1.(engine.Fingerprinter).Fingerprint()
-	fp2 := ev2.(engine.Fingerprinter).Fingerprint()
-	if fp1 != fp2 {
-		t.Fatalf("evaluator fingerprints diverge: %q vs %q", fp1, fp2)
-	}
 	cm, err := c.Resolve(v1Spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacyEv, err := c.Evaluator(cm, EvaluatorSpec{})
+	coreEv, err := c.Evaluator(cm, EvaluatorSpec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lfp := legacyEv.(engine.Fingerprinter).Fingerprint(); lfp != fp1 {
-		t.Fatalf("family evaluator fingerprint %q != legacy evaluator fingerprint %q", fp1, lfp)
+	fps := map[string]string{
+		"EvaluatorFamily(catalog/1)": ev1.(engine.Fingerprinter).Fingerprint(),
+		"EvaluatorFamily(catalog/2)": ev2.(engine.Fingerprinter).Fingerprint(),
+		"Evaluator(core.Model)":      coreEv.(engine.Fingerprinter).Fingerprint(),
+		"dse.NewFamilyEvaluator":     dse.NewFamilyEvaluator(m1).Fingerprint(),
+	}
+	want1 := fps["dse.NewFamilyEvaluator"]
+	if !strings.HasPrefix(want1, model.FingerprintPrefix(model.FamilyC2Bound)) {
+		t.Fatalf("in-process fingerprint %q lacks the %q namespace", want1, model.FingerprintPrefix(model.FamilyC2Bound))
+	}
+	for path, fp := range fps {
+		if fp != want1 {
+			t.Fatalf("%s fingerprint %q != in-process family fingerprint %q", path, fp, want1)
+		}
 	}
 
 	// 4. Round-trip stability: unmarshal→marshal is a fixed point for

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/aps"
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/engine"
 	"repro/internal/model"
@@ -143,9 +144,9 @@ func wrapEvaluator(ev dse.CtxEvaluator) dse.CtxEvaluator {
 // resolveWork builds the (model, evaluator) pair shared by the point
 // and batch endpoints, returning the resolved model too so callers can
 // validate point dimensionality against its declared space. Every
-// family goes through the registry; the c2bound family resolves to the
-// original dse.ModelEvaluator with an unchanged fingerprint, so
-// catalog/1 clients keep sharing memo entries.
+// family, c2bound included, goes through the registry and is keyed by
+// its family-qualified fingerprint, so catalog/1 and catalog/2 clients
+// share memo entries.
 func (s *Server) resolveWork(m ModelSpec, e EvaluatorSpec) (model.Model, dse.CtxEvaluator, error) {
 	fm, err := s.catalog.ResolveModel(m)
 	if err != nil {
@@ -434,14 +435,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		s.fail(w, err)
 		return
 	}
-	var space dse.Space
-	if cb, ok := fm.(*model.C2Bound); ok {
-		// The paper's family keeps the catalog/1 space semantics exactly
-		// (per/params required, dse.ReducedSpace grids).
-		space, err = s.catalog.Space(cb.CoreModel(), req.Space)
-	} else {
-		space, err = s.catalog.SpaceFamily(fm, req.Space)
-	}
+	space, err := s.catalog.SpaceFamily(fm, req.Space)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -612,25 +606,9 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	coreModel := cb.CoreModel()
-	space, err := s.catalog.Space(coreModel, req.Space)
+	space, ev, metric, err := s.apsInputs(coreModel, &req)
 	if err != nil {
 		s.fail(w, err)
-		return
-	}
-	ev, err := s.catalog.Evaluator(coreModel, req.Evaluator)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ev = wrapEvaluator(ev)
-	var metric aps.Metric
-	switch req.Metric {
-	case "", "time":
-		metric = aps.MetricTime
-	case "time_per_work":
-		metric = aps.MetricTimePerWork
-	default:
-		s.fail(w, validationf("server: unknown metric %q (want time or time_per_work)", req.Metric))
 		return
 	}
 	ckPath, err := s.checkpointPath(r.Context(), req.Checkpoint)
@@ -657,7 +635,51 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, fmt.Errorf("aps: %w", err))
 		return
 	}
-	resp := APSResponse{
+	out := apsResult(res)
+	writeJSON(w, APSResponse{
+		Analytic:       out.Analytic,
+		Snapped:        out.Snapped,
+		BestIndex:      out.BestIndex,
+		BestPoint:      out.BestPoint,
+		BestValue:      out.BestValue,
+		Simulations:    res.Simulations,
+		AnalyticPoints: out.AnalyticPoints,
+		SpaceSize:      out.SpaceSize,
+		Report:         res.Report,
+		Engine:         res.Engine,
+	})
+}
+
+// apsInputs validates a C²-Bound APS request and resolves its space,
+// evaluator and metric; /v1/aps, job submission and job runs share it.
+func (s *Server) apsInputs(m core.Model, req *APSRequest) (dse.Space, dse.CtxEvaluator, aps.Metric, error) {
+	if req.Radius < 0 {
+		return dse.Space{}, nil, 0, validationf("server: radius=%d is negative", req.Radius)
+	}
+	space, err := s.catalog.Space(m, req.Space)
+	if err != nil {
+		return dse.Space{}, nil, 0, err
+	}
+	ev, err := s.catalog.Evaluator(m, req.Evaluator)
+	if err != nil {
+		return dse.Space{}, nil, 0, err
+	}
+	var metric aps.Metric
+	switch req.Metric {
+	case "", "time":
+		metric = aps.MetricTime
+	case "time_per_work":
+		metric = aps.MetricTimePerWork
+	default:
+		return dse.Space{}, nil, 0, validationf("server: unknown metric %q (want time or time_per_work)", req.Metric)
+	}
+	return space, wrapEvaluator(ev), metric, nil
+}
+
+// apsResult renders the deterministic part of an APS outcome, shared by
+// the /v1/aps response and the APS job payload.
+func apsResult(res aps.Result) APSJobResult {
+	out := APSJobResult{
 		Analytic: APSDesign{
 			N:        res.Analytic.Design.N,
 			CoreArea: jsonFloat(res.Analytic.Design.CoreArea),
@@ -669,18 +691,15 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 		},
 		Snapped:        res.Snapped,
 		BestIndex:      res.BestIdx,
-		Simulations:    res.Simulations,
 		AnalyticPoints: res.AnalyticPoints,
 		SpaceSize:      res.SpaceSize,
-		Report:         res.Report,
-		Engine:         res.Engine,
 	}
 	if res.BestIdx >= 0 {
-		resp.BestPoint = res.BestPoint
+		out.BestPoint = res.BestPoint
 		v := jsonFloat(res.BestValue)
-		resp.BestValue = &v
+		out.BestValue = &v
 	}
-	writeJSON(w, resp)
+	return out
 }
 
 // handleAPSFamily serves /v1/aps for non-C²-Bound families: no analytic
@@ -689,16 +708,21 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 // (aps.RunModelCtx). The response keeps the APSResponse shape with the
 // analytic block marked "grid" and zero simulations.
 func (s *Server) handleAPSFamily(w http.ResponseWriter, r *http.Request, fm model.Model, req APSRequest) {
-	if len(req.Space.Params) > 0 {
-		s.fail(w, validationf("server: family APS sweeps the family's declared space; use per, not an explicit grid"))
-		return
+	var err error
+	switch {
+	case len(req.Space.Params) > 0:
+		err = validationf("server: family APS sweeps the family's declared space; use per, not an explicit grid")
+	case req.Space.Per < 0:
+		err = validationf("server: space per=%d is negative", req.Space.Per)
+	case req.Radius != 0:
+		err = validationf("server: family APS scans the whole grid and has no neighborhood; radius must be 0, got %d", req.Radius)
+	case req.Metric != "" && req.Metric != "time":
+		err = validationf("server: family APS supports only the time metric, got %q", req.Metric)
+	case req.Evaluator.Kind != "" && req.Evaluator.Kind != "model":
+		err = validationf("server: family APS needs the model evaluator, got %q", req.Evaluator.Kind)
 	}
-	if req.Metric != "" && req.Metric != "time" {
-		s.fail(w, validationf("server: family APS supports only the time metric, got %q", req.Metric))
-		return
-	}
-	if req.Evaluator.Kind != "" && req.Evaluator.Kind != "model" {
-		s.fail(w, validationf("server: family APS needs the model evaluator, got %q", req.Evaluator.Kind))
+	if err != nil {
+		s.fail(w, err)
 		return
 	}
 	ckPath, err := s.checkpointPath(r.Context(), req.Checkpoint)

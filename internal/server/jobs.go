@@ -194,16 +194,8 @@ func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if _, err := s.catalog.Space(model, req.Space); err != nil {
+	if _, _, _, err := s.apsInputs(model, req); err != nil {
 		return "", err
-	}
-	if _, err := s.catalog.Evaluator(model, req.Evaluator); err != nil {
-		return "", err
-	}
-	switch req.Metric {
-	case "", "time", "time_per_work":
-	default:
-		return "", validationf("server: unknown metric %q (want time or time_per_work)", req.Metric)
 	}
 	return kind, nil
 }
@@ -578,18 +570,9 @@ func (m *jobManager) runAPS(ctx context.Context, e *jobEntry) (json.RawMessage, 
 	if err != nil {
 		return nil, nil, err
 	}
-	space, err := m.s.catalog.Space(model, req.Space)
+	space, ev, metric, err := m.s.apsInputs(model, req)
 	if err != nil {
 		return nil, nil, err
-	}
-	ev, err := m.s.catalog.Evaluator(model, req.Evaluator)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev = wrapEvaluator(ev)
-	metric := aps.MetricTime
-	if req.Metric == "time_per_work" {
-		metric = aps.MetricTimePerWork
 	}
 	ck := m.checkpointPath(e.job.ID)
 	unlock, err := m.s.lockCheckpoint(ck)
@@ -609,27 +592,7 @@ func (m *jobManager) runAPS(ctx context.Context, e *jobEntry) (json.RawMessage, 
 	if err != nil {
 		return nil, nil, err
 	}
-	out := APSJobResult{
-		Analytic: APSDesign{
-			N:        res.Analytic.Design.N,
-			CoreArea: jsonFloat(res.Analytic.Design.CoreArea),
-			L1Area:   jsonFloat(res.Analytic.Design.L1Area),
-			L2Area:   jsonFloat(res.Analytic.Design.L2Area),
-			Time:     jsonFloat(res.Analytic.Eval.Time),
-			Method:   res.Analytic.Method,
-			Regime:   int(res.Analytic.Regime),
-		},
-		Snapped:        res.Snapped,
-		BestIndex:      res.BestIdx,
-		AnalyticPoints: res.AnalyticPoints,
-		SpaceSize:      res.SpaceSize,
-	}
-	if res.BestIdx >= 0 {
-		out.BestPoint = res.BestPoint
-		v := jsonFloat(res.BestValue)
-		out.BestValue = &v
-	}
-	data, err := json.Marshal(out)
+	data, err := json.Marshal(apsResult(res))
 	if err != nil {
 		return nil, &res.Report, err
 	}
