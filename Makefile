@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint lint-json lint-suppressions test test-short race race-heavy check bench-check bench bench-json bench-families bench-obs bench-server bench-tenants bench-cluster serve figures figures-full examples cover fuzz-short clean
+.PHONY: all build vet lint lint-json lint-suppressions test test-short race check bench-check bench serve figures figures-full examples cover fuzz-short clean
 
 all: build vet lint test
 
@@ -34,14 +34,10 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# halt_on_error aborts on the first race, so it is the failure line
+# instead of a warning scrolling past in the full-suite log.
 race:
-	$(GO) test -race ./...
-
-# The concurrency-heavy packages under the race detector with
-# first-race-aborts semantics: a race here fails fast and loud instead
-# of scrolling past in a full-suite log. CI runs this as its own job.
-race-heavy:
-	GORACE=halt_on_error=1 $(GO) test -race ./internal/engine ./internal/server ./internal/obs ./internal/dse
+	GORACE=halt_on_error=1 $(GO) test -race ./...
 
 # The full pre-merge gate: build, vet, the c2vet analyzers (findings and
 # stale suppressions), tests, and the race detector.
@@ -57,39 +53,6 @@ bench-check:
 # One iteration of every figure/table benchmark with its headline metric.
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x -run XXX .
-
-# Engine throughput (cold vs warm memo cache) as JSON for trend tracking.
-bench-json:
-	$(GO) run ./cmd/enginebench -out BENCH_engine.json
-
-# Every registered model family on the per-request scalar path vs the
-# compiled batched path, bit-identity verified per family (see
-# DESIGN.md §14). Fails if any family's values diverge by a single bit.
-bench-families:
-	$(GO) run ./cmd/enginebench -families -out BENCH_families.json
-
-# Observability cost: the same benchmark with the tracer and metrics
-# registry disabled vs enabled, side by side (see DESIGN.md §9).
-bench-obs:
-	$(GO) run ./cmd/enginebench -per 5 -rounds 5 -obs BENCH_obs.json
-
-# HTTP serving path: concurrent clients batching through a loopback
-# c2bound server, cold vs warm shared cache (see DESIGN.md §10).
-bench-server:
-	$(GO) run ./cmd/enginebench -server -per 4 -rounds 3 -clients 8 -out BENCH_server.json
-
-# Multi-tenant isolation: a flooder tenant saturates the admission gate
-# while a trickler sends 1 req/s; fails if the trickler is ever shed
-# (see DESIGN.md §11).
-bench-tenants:
-	$(GO) run ./cmd/enginebench -tenants -clients 16 -duration 10s -out BENCH_tenants.json
-
-# Distributed tier: 1..3 real c2bound-server processes sharing a
-# consistent-hash ring, one full catalog sweep each — shard balance,
-# warm hit-rate vs peer count and fan-out latency (see DESIGN.md §15).
-# Fails on shard imbalance over 15% or a non-increasing warm hit rate.
-bench-cluster:
-	$(GO) run ./cmd/enginebench -cluster -cluster-peers 3 -per 4 -out BENCH_cluster.json
 
 # Run the evaluation service locally on :8080.
 serve:
@@ -121,6 +84,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzNelderMead -fuzztime 10s ./internal/solve
 	$(GO) test -run XXX -fuzz FuzzAnalyze -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzSerializeIdempotent -fuzztime 10s ./internal/camat
+	$(GO) test -run XXX -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/engine
 
 clean:
 	$(GO) clean ./...

@@ -169,12 +169,22 @@ func parseSnapshot(data []byte) ([]snapshotEntry, error) {
 		return nil, fmt.Errorf("checksum mismatch (file %016x, computed %016x)", trailer, sum)
 	}
 	r := snapReader{buf: payload[8:]}
+	// Header counts are checked against the bytes left before they size
+	// an allocation: a fingerprint takes at least its 4-byte length and
+	// an entry at least 16 bytes (index, dims, value), so a forged count
+	// fails here instead of reserving gigabytes.
 	fpCount := r.u32()
+	if r.err == nil && int(fpCount) > len(r.buf)/4 {
+		return nil, fmt.Errorf("header claims %d fingerprints beyond the blob", fpCount)
+	}
 	fps := make([]string, 0, fpCount)
 	for i := uint32(0); i < fpCount; i++ {
 		fps = append(fps, string(r.bytes(int(r.u32()))))
 	}
 	entryCount := r.u32()
+	if r.err == nil && int(entryCount) > len(r.buf)/16 {
+		return nil, fmt.Errorf("header claims %d entries beyond the blob", entryCount)
+	}
 	entries := make([]snapshotEntry, 0, entryCount)
 	for i := uint32(0); i < entryCount; i++ {
 		fpIdx := r.u32()

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
@@ -22,7 +24,7 @@ func (s snapEval) EvaluateCtx(_ context.Context, p []float64) (float64, error) {
 }
 
 // fillEngine evaluates n distinct points so the cache holds them.
-func fillEngine(t *testing.T, e *Engine, ev snapEval, n int) [][]float64 {
+func fillEngine(t testing.TB, e *Engine, ev snapEval, n int) [][]float64 {
 	t.Helper()
 	points := make([][]float64, n)
 	for i := range points {
@@ -151,6 +153,49 @@ func TestSnapshotTruncatedAndCorruptAreCleanErrors(t *testing.T) {
 		}
 		if n != 0 || e2.CacheLen() != 0 {
 			t.Errorf("%s: partial restore (n=%d, cache=%d), want none", name, n, e2.CacheLen())
+		}
+	}
+}
+
+// sealSnapshot appends the FNV-1a trailer to a snapshot payload, so a
+// forged or mutated payload passes the checksum and reaches the parser.
+func sealSnapshot(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint64(append([]byte(nil), payload...), fnvSum(payload))
+}
+
+// TestSnapshotForgedCountsAllocateNothing loads tiny files whose header
+// counts claim 2^24 fingerprints or entries under a valid trailer: the
+// load must fail before sizing anything by those counts.
+func TestSnapshotForgedCountsAllocateNothing(t *testing.T) {
+	header := func(counts ...uint32) []byte {
+		b := append([]byte(nil), snapshotMagic[:]...)
+		for _, c := range counts {
+			b = binary.LittleEndian.AppendUint32(b, c)
+		}
+		return sealSnapshot(b)
+	}
+	dir := t.TempDir()
+	for name, data := range map[string][]byte{
+		"fingerprints": header(1 << 24),
+		"entries":      header(0, 1<<24),
+	} {
+		p := filepath.Join(dir, name+".snap")
+		if err := os.WriteFile(p, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		e := New(Options{Workers: 1, CacheSize: 16})
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		n, err := e.LoadSnapshot(p)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: LoadSnapshot of a %d-byte file claiming 2^24 %s succeeded, want error", name, len(data), name)
+		}
+		if n != 0 || e.CacheLen() != 0 {
+			t.Errorf("%s: partial restore (n=%d, cache=%d), want none", name, n, e.CacheLen())
+		}
+		if d := after.TotalAlloc - before.TotalAlloc; d >= 1<<20 {
+			t.Errorf("%s: loading a %d-byte file allocated %d bytes, want under 1 MiB", name, len(data), d)
 		}
 	}
 }

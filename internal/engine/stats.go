@@ -54,9 +54,8 @@ type Stats struct {
 }
 
 // Snapshot bundles the engine's static shape with its live counters —
-// the /readyz payload of internal/server and the enginebench report
-// both serialize it, so the JSON field names are part of the tool
-// contract and covered by tests.
+// the /readyz payload of internal/server serializes it, so the JSON
+// field names are part of the service contract and covered by tests.
 type Snapshot struct {
 	// Workers is the engine's concurrency bound.
 	Workers int `json:"workers"`

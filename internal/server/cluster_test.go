@@ -47,8 +47,9 @@ func (p *clusterPeer) revive(t *testing.T) {
 }
 
 // startClusterPeers boots an n-peer loopback cluster. Every peer gets
-// its own engine, registry and ring view over the same membership.
-func startClusterPeers(t *testing.T, n int, copts cluster.Options) []*clusterPeer {
+// its own engine, registry and ring view over the same membership, and
+// is built from sopts with its cluster and registry filled in.
+func startClusterPeers(t *testing.T, n int, copts cluster.Options, sopts Options) []*clusterPeer {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	var cfg cluster.Config
@@ -74,7 +75,9 @@ func startClusterPeers(t *testing.T, n int, copts cluster.Options) []*clusterPee
 		if err != nil {
 			t.Fatalf("cluster.New: %v", err)
 		}
-		srv := New(Options{Cluster: cl, Metrics: reg})
+		so := sopts
+		so.Cluster, so.Metrics = cl, reg
+		srv := New(so)
 		p := &clusterPeer{
 			name: c.Self,
 			url:  cfg.Peers[i].URL,
@@ -150,7 +153,7 @@ func wantBitIdentical(t *testing.T, label string, want, got []jsonFloat) {
 // actually have been partitioned over the ring.
 func TestClusterSweepBitIdenticalToSingleNode(t *testing.T) {
 	_, single := newTestServer(t, Options{})
-	peers := startClusterPeers(t, 3, cluster.Options{})
+	peers := startClusterPeers(t, 3, cluster.Options{}, Options{})
 
 	for _, app := range []string{"tmm", "fft"} {
 		req := SweepRequest{
@@ -187,7 +190,7 @@ func TestClusterSweepBitIdenticalToSingleNode(t *testing.T) {
 // through the coordinator lands each point in its ring owner's cache, so
 // the same batch again is served warm by the remote peers.
 func TestClusterBatchRemoteCacheHits(t *testing.T) {
-	peers := startClusterPeers(t, 3, cluster.Options{})
+	peers := startClusterPeers(t, 3, cluster.Options{}, Options{})
 	req := BatchRequest{Model: ModelSpec{App: "tmm"}, Points: testPoints(t, 64)}
 
 	run := func() (hits int) {
@@ -218,6 +221,34 @@ func TestClusterBatchRemoteCacheHits(t *testing.T) {
 	}
 }
 
+// TestClusterWarmCapacityGrowsWithPeers checks that peers add cache
+// capacity: with every peer's cache at 4/5 of a 4096-point tmm space, a
+// lone peer cannot hold the sweep, so its warm pass hits at most its
+// capacity, while two or three peers split the space into shards that
+// fit and serve the whole warm pass from cache.
+func TestClusterWarmCapacityGrowsWithPeers(t *testing.T) {
+	const points, capacity = 4096, 4096 * 4 / 5
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 4}}
+	for n := 1; n <= 3; n++ {
+		peers := startClusterPeers(t, n, cluster.Options{}, Options{CacheSize: capacity})
+		sweepOver(t, peers[0].url, req)
+		warm := sweepOver(t, peers[0].url, req)
+		if warm.Report.Total != points {
+			t.Fatalf("%d peers: swept %d points, want %d", n, warm.Report.Total, points)
+		}
+		hits := warm.Report.CacheHits
+		if n == 1 && hits > capacity {
+			t.Errorf("1 peer: warm pass hit %d points, more than its %d-entry cache holds", hits, capacity)
+		}
+		if n > 1 && hits != points {
+			t.Errorf("%d peers: warm pass hit %d of %d points, want all", n, hits, points)
+		}
+		if fb := peers[0].reg.Counter("cluster_fallback_points_total").Value(); fb != 0 {
+			t.Errorf("%d peers: %d points fell back to local compute", n, fb)
+		}
+	}
+}
+
 // TestClusterSweepSurvivesPeerDeath is the fault-injection satellite:
 // killing one peer mid-sweep must not change a single bit of the result
 // (its share falls back to local compute), the victim's breaker opens,
@@ -229,7 +260,7 @@ func TestClusterSweepSurvivesPeerDeath(t *testing.T) {
 		Cooldown:      150 * time.Millisecond,
 		Retry:         robust.RetryPolicy{MaxAttempts: 1, BaseDelay: time.Millisecond},
 	}
-	peers := startClusterPeers(t, 3, copts)
+	peers := startClusterPeers(t, 3, copts, Options{})
 	_, single := newTestServer(t, Options{})
 
 	// A simulated workload big enough that the kill lands mid-sweep.
@@ -302,7 +333,7 @@ func TestClusterSweepSurvivesPeerDeath(t *testing.T) {
 // readyz carries a "cluster" object with stable field names (operators
 // and the bench harness parse them), and standalone servers omit it.
 func TestReadyzClusterFieldNames(t *testing.T) {
-	peers := startClusterPeers(t, 2, cluster.Options{})
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{})
 	resp, err := http.Get(peers[0].url + "/readyz")
 	if err != nil {
 		t.Fatal(err)

@@ -430,27 +430,10 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		s.fail(w, err)
 		return
 	}
-	fm, err := s.catalog.ResolveModel(req.Model)
+	space, ev, err := s.sweepInputs(&req)
 	if err != nil {
 		s.fail(w, err)
 		return
-	}
-	space, err := s.catalog.SpaceFamily(fm, req.Space)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ev, err := s.catalog.EvaluatorFamily(fm, req.Evaluator)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ev = wrapEvaluator(ev)
-	for _, idx := range req.Indices {
-		if idx < 0 || idx >= space.Size() {
-			s.fail(w, validationf("server: index %d outside space of %d points", idx, space.Size()))
-			return
-		}
 	}
 	ckPath, err := s.checkpointPath(r.Context(), req.Checkpoint)
 	if err != nil {
@@ -545,6 +528,30 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		frame.Error = &body
 	}
 	out.Emit(frame)
+}
+
+// sweepInputs resolves a sweep request's model (any family), space and
+// evaluator and checks its indices against the space; /v1/sweep, job
+// submission and job runs share it.
+func (s *Server) sweepInputs(req *SweepRequest) (dse.Space, dse.CtxEvaluator, error) {
+	fm, err := s.catalog.ResolveModel(req.Model)
+	if err != nil {
+		return dse.Space{}, nil, err
+	}
+	space, err := s.catalog.SpaceFamily(fm, req.Space)
+	if err != nil {
+		return dse.Space{}, nil, err
+	}
+	ev, err := s.catalog.EvaluatorFamily(fm, req.Evaluator)
+	if err != nil {
+		return dse.Space{}, nil, err
+	}
+	for _, idx := range req.Indices {
+		if idx < 0 || idx >= space.Size() {
+			return dse.Space{}, nil, validationf("server: index %d outside space of %d points", idx, space.Size())
+		}
+	}
+	return space, wrapEvaluator(ev), nil
 }
 
 // --- APS -------------------------------------------------------------

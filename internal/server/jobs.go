@@ -168,21 +168,8 @@ func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 		if req.Checkpoint != "" || req.Resume {
 			return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
 		}
-		model, err := s.catalog.Resolve(req.Model)
-		if err != nil {
+		if _, _, err := s.sweepInputs(req); err != nil {
 			return "", err
-		}
-		space, err := s.catalog.Space(model, req.Space)
-		if err != nil {
-			return "", err
-		}
-		if _, err := s.catalog.Evaluator(model, req.Evaluator); err != nil {
-			return "", err
-		}
-		for _, idx := range req.Indices {
-			if idx < 0 || idx >= space.Size() {
-				return "", validationf("server: index %d outside space of %d points", idx, space.Size())
-			}
 		}
 		return kind, nil
 	}
@@ -506,19 +493,10 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) (json.RawMessage
 		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
 	}
 	req := sub.Sweep
-	model, err := m.s.catalog.Resolve(req.Model)
+	space, ev, err := m.s.sweepInputs(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	space, err := m.s.catalog.Space(model, req.Space)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev, err := m.s.catalog.Evaluator(model, req.Evaluator)
-	if err != nil {
-		return nil, nil, err
-	}
-	ev = wrapEvaluator(ev)
 	total := len(req.Indices)
 	if total == 0 {
 		total = space.Size()

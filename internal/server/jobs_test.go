@@ -5,11 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/model"
 )
 
 // jobSweepRequest is the standard job body of these tests: a 64-point
@@ -251,6 +254,31 @@ func TestJobSubmitValidation(t *testing.T) {
 	var list JobList
 	if status := getJSON(t, ts.URL, "/v1/jobs", "", &list); status != http.StatusOK || len(list.Jobs) != 0 {
 		t.Fatalf("rejected submissions persisted: %d, %+v", status, list.Jobs)
+	}
+}
+
+// TestJobFamilySweepMatchesSweepEndpoint submits a gpu-family sweep as a
+// job: /v1/jobs must accept every family /v1/sweep serves, and the job's
+// best design must be the streaming sweep's, bit for bit.
+func TestJobFamilySweepMatchesSweepEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, JobDir: t.TempDir()})
+	req := SweepRequest{
+		Model: ModelSpec{Schema: CatalogSchema, App: "tmm", Family: model.FamilyGPU},
+		Space: SpaceSpec{Per: 2},
+	}
+	want := sweepOver(t, ts.URL, req)
+	j := submitJob(t, ts.URL, JobSubmitRequest{Sweep: &req})
+	waitJobState(t, ts.URL, j.ID, JobSucceeded)
+	var got SweepJobResult
+	if status := getJSON(t, ts.URL, "/v1/jobs/"+j.ID+"/result", "", &got); status != http.StatusOK {
+		t.Fatalf("result = %d", status)
+	}
+	if want.BestValue == nil || got.BestValue == nil {
+		t.Fatalf("best value missing: sweep %v, job %v", want.BestValue, got.BestValue)
+	}
+	if got.BestIndex != want.BestIndex ||
+		math.Float64bits(float64(*got.BestValue)) != math.Float64bits(float64(*want.BestValue)) {
+		t.Fatalf("job best %d = %v, sweep best %d = %v", got.BestIndex, *got.BestValue, want.BestIndex, *want.BestValue)
 	}
 }
 
