@@ -85,6 +85,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzAnalyze -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzSerializeIdempotent -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/engine
+	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/dse
 
 clean:
 	$(GO) clean ./...

@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
+
+	"repro/internal/robust"
 )
 
 // Cache snapshots persist the memo cache across process restarts so a
@@ -22,8 +23,8 @@ import (
 // Points and values are stored as raw IEEE-754 bits, so a restored entry
 // is bit-identical to the one saved (NaN payloads and −0 included) and a
 // save → load → save round trip reproduces the file byte for byte. The
-// write path follows the jobstore durability pattern: unique temp file,
-// fsync, rename, directory fsync. The load path verifies the checksum
+// write path is robust.WriteFileDurable (unique temp file, fsync,
+// rename, directory fsync), shared with checkpoints and job records. The load path verifies the checksum
 // and fully parses the blob before touching the cache, so a truncated or
 // corrupt file is a clean error, never a partial restore.
 
@@ -46,42 +47,9 @@ func (e *Engine) SaveSnapshot(path string) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	dir := filepath.Dir(path)
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return 0, fmt.Errorf("engine: snapshot: %w", err)
-		}
-	}
-	// Unique temp name per writer so two concurrent savers never
-	// interleave on one file; each rename publishes a complete blob.
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
+	if err := robust.WriteFileDurable(path, data); err != nil {
 		return 0, fmt.Errorf("engine: snapshot: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("engine: snapshot: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("engine: snapshot: %w", err)
-	}
-	syncSnapshotDir(dir)
 	return n, nil
 }
 
@@ -258,19 +226,4 @@ func fnvSum(data []byte) uint64 {
 		h *= fnvPrime
 	}
 	return h
-}
-
-// syncSnapshotDir fsyncs the snapshot's directory so the just-renamed
-// entry survives a crash; filesystems that refuse directory fsync keep
-// the pre-sync behavior.
-func syncSnapshotDir(dir string) {
-	if dir == "" {
-		dir = "."
-	}
-	d, err := os.Open(dir)
-	if err != nil {
-		return
-	}
-	defer d.Close()
-	_ = d.Sync()
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"sort"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dse"
 	"repro/internal/engine"
-	"repro/internal/obs"
 )
 
 // This file is the server half of the cluster tier (DESIGN.md §15): the
@@ -25,68 +25,29 @@ import (
 // The cluster can lose cache locality, never correctness.
 
 // peerWork wraps an internal peer endpoint: drain rejection, admission
-// under the anonymous identity, the per-request deadline, observability
-// and panic isolation — but no tenant lookup, because intra-cluster
-// traffic carries no API key (the peer endpoints are private-network
-// internal, reachable only on the peer listen addresses; see DESIGN.md
-// §15). Admission still takes a slot so forwarded work cannot
-// oversubscribe a peer past its own gate.
-func (s *Server) peerWork(span string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+// under the anonymous identity, the per-request deadline and the
+// observed, panic-isolated handler call — but no tenant lookup, because
+// intra-cluster traffic carries no API key (the peer endpoints are
+// private-network internal, reachable only on the peer listen addresses;
+// see DESIGN.md §15). Admission still takes a slot so forwarded work
+// cannot oversubscribe a peer past its own gate.
+func (s *Server) peerWork(span string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.errors.Add(1)
-			writeErrorBody(w, http.StatusServiceUnavailable,
-				ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
+		if s.rejectDraining(w) {
 			return
 		}
 		t := s.tenants.anonymous()
-		release, err := s.adm.acquire(r.Context(), t)
-		if err != nil {
-			if err == errSaturated {
-				s.shedTenant(w, t, retryAfterSeconds(s.opts.RetryAfter),
-					ErrorBody{Code: CodeOverloaded, Message: "admission queue full; retry later"})
-				return
-			}
-			s.errors.Add(1)
-			writeError(w, err)
+		done, ok := s.admit(w, r, t, nil)
+		if !ok {
 			return
 		}
-		defer release()
-		s.admitted.Add(1)
-		s.inflight.Add(1)
-		defer s.inflight.Done()
-		s.obsInflight.Add(1)
-		defer s.obsInflight.Add(-1)
-
-		timeout, err := s.requestTimeout(r)
-		if err != nil {
-			s.errors.Add(1)
-			writeErrorBody(w, http.StatusBadRequest, ErrorBody{Code: CodeBadRequest, Message: err.Error()})
+		defer done()
+		ctx, stop, ok := s.deadline(w, r)
+		if !ok {
 			return
 		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		id := s.registerCancel(cancel)
-		defer s.unregisterCancel(id)
-		ctx = contextWithTenant(ctx, t)
-		ctx = obs.ContextWithTracer(ctx, s.tracer)
-		ctx = obs.ContextWithMetrics(ctx, s.metrics)
-		ctx, sp := s.tracer.Start(ctx, span)
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				s.errors.Add(1)
-				if sp != nil {
-					sp.Annotate(obs.S("panic", "true"))
-					sp.Finish()
-				}
-				writeErrorBody(w, http.StatusInternalServerError,
-					ErrorBody{Code: CodeInternal, Message: "internal server error"})
-				return
-			}
-			sp.Finish()
-		}()
-		h(w, r.WithContext(ctx))
+		defer stop()
+		s.serveObserved(ctx, w, r, t, span, h)
 	})
 }
 
@@ -309,23 +270,26 @@ func (p *remoteProgress) total() int64 {
 
 // subSweepOutcome is one remote partition's merged contribution.
 type subSweepOutcome struct {
-	group  []int
 	values []float64
 	report dse.SweepReport
 	err    error
 }
 
-// clusterSweep is the cluster-partitioned sweep: the flat point slab is
-// split by ring ownership, the local share runs through dse.SweepCtx
-// (with the request's checkpoint machinery), each remote share fans out
-// as a peer sub-sweep whose progress frames merge into rp, and the
-// partial values, reports and checkpoints merge back into one result.
+// clusterSweep is the cluster-partitioned sweep: the points are split
+// by ring ownership (partitionPoints, as for batches), the local share
+// runs through dse.SweepCtx (with the request's checkpoint machinery),
+// each remote share fans out as a peer sub-sweep whose progress frames
+// merge into rp, and the partial values, reports and checkpoints merge
+// back into one result.
 // A peer that dies mid-sub-sweep gets its share recomputed locally, so
 // the merged result is bit-identical to a single-node run.
 func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.Space, ev dse.CtxEvaluator, opts dse.SweepOptions, rp *remoteProgress) ([]float64, dse.SweepReport, error) {
 	fp := ""
 	if f, ok := ev.(engine.Fingerprinter); ok {
 		fp = f.Fingerprint()
+	}
+	if fp == "" {
+		return dse.SweepCtx(ctx, ev, space, req.Indices, opts)
 	}
 	indices := req.Indices
 	if indices == nil {
@@ -334,50 +298,40 @@ func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.S
 			indices[i] = i
 		}
 	}
-	if fp == "" {
-		return dse.SweepCtx(ctx, ev, space, req.Indices, opts)
-	}
 
-	// Partition the slab by ownership of each point's memo key.
+	// Partition the points by ownership of each one's memo key, then map
+	// the groups from positions in indices back to flat indices.
 	dims := space.Dims()
-	slab := make([]float64, 0, len(indices)*dims)
-	var localIdx []int
-	var remote []*pointGroup
-	groups := make(map[string]*pointGroup)
-	for _, idx := range indices {
-		lo := len(slab)
-		slab = space.AppendPoint(slab, idx)
-		owner, isLocal := s.cluster.Owner(engine.KeyHash(fp, slab[lo:]))
-		if isLocal {
-			localIdx = append(localIdx, idx)
-			continue
-		}
-		g := groups[owner]
-		if g == nil {
-			g = &pointGroup{owner: owner}
-			groups[owner] = g
-			remote = append(remote, g)
-		}
-		g.idx = append(g.idx, idx)
+	slab := make([]float64, len(indices)*dims)
+	points := make([][]float64, len(indices))
+	for k, idx := range indices {
+		points[k] = space.AppendPoint(slab[k*dims:k*dims], idx)
 	}
-	s.cluster.CountLocal(len(localIdx))
-	s.cluster.CountRemote(len(indices) - len(localIdx))
+	local, remote := s.partitionPoints(fp, points)
+	s.cluster.CountLocal(len(local))
+	s.cluster.CountRemote(len(indices) - len(local))
 	if len(remote) == 0 {
 		return dse.SweepCtx(ctx, ev, space, indices, opts)
 	}
-
-	if localIdx == nil {
-		// nil means "the whole space" to SweepCtx; an empty local
-		// partition must sweep nothing.
-		localIdx = []int{}
+	// Never nil: nil means "the whole space" to SweepCtx, and an empty
+	// local partition must sweep nothing.
+	localIdx := make([]int, len(local))
+	for k, pos := range local {
+		localIdx[k] = indices[pos]
 	}
+	for _, g := range remote {
+		for k, pos := range g.idx {
+			g.idx[k] = indices[pos]
+		}
+	}
+
 	results := make([]subSweepOutcome, 1+len(remote))
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		values, report, err := dse.SweepCtx(ctx, ev, space, localIdx, opts)
-		results[0] = subSweepOutcome{group: localIdx, values: values, report: report, err: err}
+		results[0] = subSweepOutcome{values: values, report: report, err: err}
 	}()
 	for gi, g := range remote {
 		wg.Add(1)
@@ -457,7 +411,7 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 	}
 	body, err := json.Marshal(sub)
 	if err != nil {
-		return subSweepOutcome{group: g.idx, err: err}
+		return subSweepOutcome{err: err}
 	}
 	var result *SweepResult
 	err = s.cluster.StreamFromPeer(ctx, g.owner, "/internal/v1/peer-sweep", body, func(line []byte) error {
@@ -487,6 +441,9 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 			if err := json.Unmarshal(line, &res); err != nil {
 				return err
 			}
+			if err := checkSubSweep(&res, space.Size(), g.idx); err != nil {
+				return err
+			}
 			result = &res
 			return nil
 		default:
@@ -495,20 +452,15 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 	})
 	switch {
 	case err == nil && result != nil && result.Error == nil:
-		values := make([]float64, space.Size())
-		for i := range values {
-			values[i] = math.NaN()
-		}
+		values := make([]float64, len(result.Values))
 		for i, v := range result.Values {
-			if i < len(values) {
-				values[i] = float64(v)
-			}
+			values[i] = float64(v)
 		}
-		return subSweepOutcome{group: g.idx, values: values, report: result.Report}
+		return subSweepOutcome{values: values, report: result.Report}
 	case ctx.Err() != nil:
 		// Cancelled: leave the partition pending, exactly like an
 		// interrupted local sweep.
-		return subSweepOutcome{group: g.idx, err: ctx.Err()}
+		return subSweepOutcome{err: ctx.Err()}
 	}
 	// The peer died or answered garbage: recompute this share locally,
 	// without the checkpoint path (the coordinator writes the merged
@@ -516,7 +468,40 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 	s.cluster.CountFallback(len(g.idx))
 	fallbackOpts := dse.SweepOptions{Engine: s.eng}
 	values, report, err := dse.SweepCtx(ctx, ev, space, g.idx, fallbackOpts)
-	return subSweepOutcome{group: g.idx, values: values, report: report, err: err}
+	return subSweepOutcome{values: values, report: report, err: err}
+}
+
+// checkSubSweep holds a peer-sweep result frame to the rule peer-eval
+// responses meet: the dense values cover the whole space, and the
+// completed and failed indices are a duplicate-free subset of the group
+// that was forwarded. Anything else fails the exchange, so the group
+// falls back to local compute instead of merging a bad frame as data.
+func checkSubSweep(res *SweepResult, size int, group []int) error {
+	if len(res.Values) != size {
+		return fmt.Errorf("server: peer-sweep result carries %d values for a space of %d", len(res.Values), size)
+	}
+	open := make([]bool, size)
+	for _, idx := range group {
+		open[idx] = true
+	}
+	claim := func(idx int) error {
+		if idx < 0 || idx >= size || !open[idx] {
+			return fmt.Errorf("server: peer-sweep reports index %d outside the forwarded group or twice", idx)
+		}
+		open[idx] = false
+		return nil
+	}
+	for _, idx := range res.Report.Completed {
+		if err := claim(idx); err != nil {
+			return err
+		}
+	}
+	for _, f := range res.Report.Failed {
+		if err := claim(f.Index); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // isContextErr mirrors handleSweep's classification for the merge: a

@@ -8,10 +8,13 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/dse"
 	"repro/internal/obs"
 	"repro/internal/robust"
 )
@@ -326,6 +329,85 @@ func TestClusterSweepSurvivesPeerDeath(t *testing.T) {
 				open, rh0, peers[0].reg.Counter("cluster_remote_hits_total").Value())
 		}
 		time.Sleep(25 * time.Millisecond)
+	}
+}
+
+// TestClusterSweepRejectsBadPeerFrames points the coordinator at a
+// fake peer whose peer-sweep result frames are forged: a completed index
+// far outside the space, a completed index twice, and an empty values
+// array claiming every forwarded point. Each must fail the exchange like
+// a short peer-eval response: the group falls back to local compute and
+// the sweep returns the single node's bits, never a panic or NaN.
+func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 2}, IncludeValues: true}
+	_, single := newTestServer(t, Options{})
+	want := sweepOver(t, single.URL, req)
+	size := len(want.Values)
+
+	forgeries := []struct {
+		name  string
+		forge func(group []int) SweepResult
+	}{
+		{"index outside the space", func(group []int) SweepResult {
+			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: []int{1 << 20}}}
+			res.Values = make([]jsonFloat, size)
+			return res
+		}},
+		{"index twice", func(group []int) SweepResult {
+			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: []int{group[0], group[0]}}}
+			res.Values = make([]jsonFloat, size)
+			return res
+		}},
+		{"empty values", func(group []int) SweepResult {
+			return SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
+		}},
+	}
+	var current atomic.Int32
+	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var sub SweepRequest
+		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil || len(sub.Indices) == 0 {
+			http.Error(w, "bad peer-sweep request", http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/x-ndjson")
+		_ = json.NewEncoder(w).Encode(forgeries[current.Load()].forge(sub.Indices))
+	}))
+	t.Cleanup(fake.Close)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	reg := obs.NewRegistry()
+	cl, err := cluster.New(cluster.Config{Self: "p0", Peers: []cluster.PeerConfig{
+		{Name: "p0", URL: "http://" + ln.Addr().String()},
+		{Name: "p1", URL: fake.URL},
+	}}, cluster.Options{
+		Metrics:       reg,
+		FailThreshold: 100, // keep the breaker closed so every forgery is exchanged
+		Retry:         robust.RetryPolicy{MaxAttempts: 1},
+	})
+	if err != nil {
+		t.Fatalf("cluster.New: %v", err)
+	}
+	hs := &http.Server{Handler: New(Options{Cluster: cl, Metrics: reg})}
+	go func() { _ = hs.Serve(ln) }()
+	t.Cleanup(func() { _ = hs.Close() })
+
+	for i, f := range forgeries {
+		current.Store(int32(i))
+		fb0 := reg.Counter("cluster_fallback_points_total").Value()
+		got := sweepOver(t, "http://"+ln.Addr().String(), req)
+		wantBitIdentical(t, f.name, want.Values, got.Values)
+		if len(got.Report.Completed) != size || len(got.Report.Pending) != 0 {
+			t.Fatalf("%s: %d/%d completed, %d pending", f.name, len(got.Report.Completed), size, len(got.Report.Pending))
+		}
+		if reg.Counter("cluster_fallback_points_total").Value() == fb0 {
+			t.Fatalf("%s: the forged frame was merged; no point fell back to local compute", f.name)
+		}
+	}
+	if reg.Counter("cluster_remote_points_total").Value() == 0 {
+		t.Fatal("no points were routed to the fake peer")
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/aps"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/engine"
 	"repro/internal/model"
@@ -346,16 +345,15 @@ type SweepProgress struct {
 	ElapsedMS int64 `json:"elapsed_ms"`
 }
 
-// SweepResult is the final NDJSON frame of a sweep response.
+// SweepResult is the final NDJSON frame of a sweep response. The best
+// design and dense values are a sweep job's payload, embedded so the
+// frame's field order is unchanged.
 type SweepResult struct {
-	Type      string          `json:"type"` // "result"
-	Report    dse.SweepReport `json:"report"`
-	BestIndex int             `json:"best_index"`
-	BestPoint []float64       `json:"best_point,omitempty"`
-	BestValue *jsonFloat      `json:"best_value,omitempty"`
-	Values    []jsonFloat     `json:"values,omitempty"`
-	Error     *ErrorBody      `json:"error,omitempty"`
-	Engine    engine.Stats    `json:"engine"`
+	Type   string          `json:"type"` // "result"
+	Report dse.SweepReport `json:"report"`
+	SweepJobResult
+	Error  *ErrorBody   `json:"error,omitempty"`
+	Engine engine.Stats `json:"engine"`
 }
 
 // countingEvaluator wraps an evaluator with a raw-invocation counter for
@@ -420,17 +418,20 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	s.serveSweep(w, r, true)
 }
 
-// serveSweep is the shared sweep engine behind /v1/sweep (partition =
-// true) and /internal/v1/peer-sweep (partition = false: a forwarded
-// sub-sweep always evaluates locally, so ring disagreement between peers
-// cannot ping-pong work).
+// serveSweep streams one sweep for /v1/sweep (partition = true) and
+// /internal/v1/peer-sweep (partition = false: a forwarded sub-sweep
+// always evaluates locally, so ring disagreement between peers cannot
+// ping-pong work). It adds the progress frames to the sweep runner that
+// sweep jobs share. The choice to partition stays here: detguard checks
+// the runner as part of the job path, and the peer client's breaker
+// reads the wall clock.
 func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bool) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
-	space, ev, err := s.sweepInputs(&req)
+	sr, err := s.sweepInputs(&req)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -444,26 +445,21 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		s.fail(w, validationf("server: resume requires a checkpoint name"))
 		return
 	}
-	unlock, err := s.lockCheckpoint(ckPath)
+	var evaluated atomic.Int64
+	unlock, err := s.openSweep(sr, ckPath, req.Resume, &evaluated)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	defer unlock()
 
-	var evaluated atomic.Int64
-	counted := withCount(ev, &evaluated)
-	opts := dse.SweepOptions{
-		Engine:          s.eng,
-		CheckpointPath:  ckPath,
-		CheckpointEvery: req.CheckpointEvery,
-		Resume:          req.Resume,
+	rp := newRemoteProgress()
+	sweep := dse.SweepCtx
+	if partition && s.cluster != nil {
+		sweep = func(ctx context.Context, ev dse.CtxEvaluator, space dse.Space, _ []int, opts dse.SweepOptions) ([]float64, dse.SweepReport, error) {
+			return s.clusterSweep(ctx, req, space, ev, opts, rp)
+		}
 	}
-	total := len(req.Indices)
-	if total == 0 {
-		total = space.Size()
-	}
-
 	cadence := time.Duration(req.ProgressMS) * time.Millisecond
 	if cadence <= 0 {
 		cadence = 500 * time.Millisecond
@@ -472,86 +468,115 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 	stats0 := s.eng.Stats()
 	out := newNDJSONWriter(w)
 
-	type sweepDone struct {
-		values []float64
-		report dse.SweepReport
-		err    error
-	}
-	doneCh := make(chan sweepDone, 1)
-	rp := newRemoteProgress()
+	frame := SweepResult{Type: "result"}
+	var sweepErr error
+	done := make(chan struct{})
 	go func() {
-		var values []float64
-		var report dse.SweepReport
-		var err error
-		if partition && s.cluster != nil {
-			values, report, err = s.clusterSweep(r.Context(), req, space, counted, opts, rp)
-		} else {
-			values, report, err = dse.SweepCtx(r.Context(), counted, space, req.Indices, opts)
-		}
-		doneCh <- sweepDone{values: values, report: report, err: err}
+		defer close(done)
+		frame.SweepJobResult, frame.Report, sweepErr = sr.run(r.Context(), sweep)
 	}()
-
 	ticker := time.NewTicker(cadence)
 	defer ticker.Stop()
-	var done sweepDone
 	for waiting := true; waiting; {
 		select {
-		case done = <-doneCh:
+		case <-done:
 			waiting = false
 		case <-ticker.C:
 			out.Emit(SweepProgress{
 				Type:      "progress",
 				Evaluated: evaluated.Load() + rp.total(),
-				Total:     total,
+				Total:     sr.total(),
 				ElapsedMS: time.Since(start).Milliseconds(),
 			})
 		}
 	}
-
-	frame := SweepResult{
-		Type:      "result",
-		Report:    done.report,
-		BestIndex: -1,
-		Engine:    s.eng.Stats().Delta(stats0),
-	}
-	if idx, val := dse.Best(done.values); idx >= 0 {
-		frame.BestIndex = idx
-		frame.BestPoint = space.Point(idx)
-		v := jsonFloat(val)
-		frame.BestValue = &v
-	}
-	if req.IncludeValues {
-		frame.Values = jsonFloats(done.values)
-	}
-	if done.err != nil && !errors.Is(done.err, context.Canceled) {
-		_, body := classify(done.err)
+	frame.Engine = s.eng.Stats().Delta(stats0)
+	if sweepErr != nil && !errors.Is(sweepErr, context.Canceled) {
+		_, body := classify(sweepErr)
 		frame.Error = &body
 	}
 	out.Emit(frame)
 }
 
+// sweepRun is one resolved sweep request. serveSweep (for /v1/sweep and
+// peer-sweep) and sweep jobs resolve it with sweepInputs, claim its
+// checkpoint with openSweep and run it with run.
+type sweepRun struct {
+	req   *SweepRequest
+	space dse.Space
+	ev    dse.CtxEvaluator
+	opts  dse.SweepOptions
+}
+
 // sweepInputs resolves a sweep request's model (any family), space and
 // evaluator and checks its indices against the space; /v1/sweep, job
 // submission and job runs share it.
-func (s *Server) sweepInputs(req *SweepRequest) (dse.Space, dse.CtxEvaluator, error) {
+func (s *Server) sweepInputs(req *SweepRequest) (*sweepRun, error) {
 	fm, err := s.catalog.ResolveModel(req.Model)
 	if err != nil {
-		return dse.Space{}, nil, err
+		return nil, err
 	}
 	space, err := s.catalog.SpaceFamily(fm, req.Space)
 	if err != nil {
-		return dse.Space{}, nil, err
+		return nil, err
 	}
 	ev, err := s.catalog.EvaluatorFamily(fm, req.Evaluator)
 	if err != nil {
-		return dse.Space{}, nil, err
+		return nil, err
 	}
 	for _, idx := range req.Indices {
 		if idx < 0 || idx >= space.Size() {
-			return dse.Space{}, nil, validationf("server: index %d outside space of %d points", idx, space.Size())
+			return nil, validationf("server: index %d outside space of %d points", idx, space.Size())
 		}
 	}
-	return space, wrapEvaluator(ev), nil
+	return &sweepRun{
+		req:   req,
+		space: space,
+		ev:    wrapEvaluator(ev),
+		opts:  dse.SweepOptions{Engine: s.eng, CheckpointEvery: req.CheckpointEvery},
+	}, nil
+}
+
+// total is the number of points the sweep covers.
+func (sr *sweepRun) total() int {
+	if len(sr.req.Indices) > 0 {
+		return len(sr.req.Indices)
+	}
+	return sr.space.Size()
+}
+
+// openSweep claims the checkpoint at path for sr (empty: none; resume
+// restores it first) and counts sr's raw evaluator invocations into n.
+// Claiming is separate from run so /v1/sweep answers a conflict with 409
+// before it starts streaming; the caller runs sr, then calls unlock.
+func (s *Server) openSweep(sr *sweepRun, path string, resume bool, n *atomic.Int64) (unlock func(), err error) {
+	unlock, err = s.lockCheckpoint(path)
+	if err != nil {
+		return nil, err
+	}
+	sr.ev = withCount(sr.ev, n)
+	sr.opts.CheckpointPath, sr.opts.Resume = path, resume
+	return unlock, nil
+}
+
+// sweepFunc runs a resolved sweep: dse.SweepCtx, or the ring-partitioned
+// clusterSweep that serveSweep picks for /v1/sweep in a cluster.
+type sweepFunc func(ctx context.Context, ev dse.CtxEvaluator, space dse.Space, indices []int, opts dse.SweepOptions) ([]float64, dse.SweepReport, error)
+
+// run sweeps sr with sweep and renders the best design, plus the dense
+// values when the request asks for them. Every field derives from the
+// values alone, so a resumed run reproduces it bit for bit.
+func (sr *sweepRun) run(ctx context.Context, sweep sweepFunc) (SweepJobResult, dse.SweepReport, error) {
+	values, report, err := sweep(ctx, sr.ev, sr.space, sr.req.Indices, sr.opts)
+	idx, val := dse.Best(values)
+	res := SweepJobResult{BestIndex: idx, BestValue: bestValue(idx, val)}
+	if idx >= 0 {
+		res.BestPoint = sr.space.Point(idx)
+	}
+	if sr.req.IncludeValues {
+		res.Values = jsonFloats(values)
+	}
+	return res, report, err
 }
 
 // --- APS -------------------------------------------------------------
@@ -595,25 +620,14 @@ type APSResponse struct {
 	Engine         engine.Stats    `json:"engine"`
 }
 
-// handleAPS executes aps.RunCtx on the shared engine.
+// handleAPS runs an APS request through the runner APS jobs share.
 func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 	var req APSRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
 		return
 	}
-	fm, err := s.catalog.ResolveModel(req.Model)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	cb, isC2 := fm.(*model.C2Bound)
-	if !isC2 {
-		s.handleAPSFamily(w, r, fm, req)
-		return
-	}
-	coreModel := cb.CoreModel()
-	space, ev, metric, err := s.apsInputs(coreModel, &req)
+	ar, err := s.apsInputs(&req)
 	if err != nil {
 		s.fail(w, err)
 		return
@@ -623,153 +637,157 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	unlock, err := s.lockCheckpoint(ckPath)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer unlock()
-	res, err := aps.RunCtx(r.Context(), coreModel, space, ev, aps.Options{
-		Engine: s.eng,
-		Radius: req.Radius,
-		Metric: metric,
-		Sweep: dse.SweepOptions{
-			CheckpointPath: ckPath,
-			Resume:         req.Resume,
-		},
-	})
+	var evaluated atomic.Int64
+	resp, err := s.runAPSRequest(r.Context(), ar, ckPath, req.Resume, &evaluated)
 	if err != nil {
 		s.fail(w, fmt.Errorf("aps: %w", err))
 		return
 	}
-	out := apsResult(res)
-	writeJSON(w, APSResponse{
-		Analytic:       out.Analytic,
-		Snapped:        out.Snapped,
-		BestIndex:      out.BestIndex,
-		BestPoint:      out.BestPoint,
-		BestValue:      out.BestValue,
-		Simulations:    res.Simulations,
-		AnalyticPoints: out.AnalyticPoints,
-		SpaceSize:      out.SpaceSize,
-		Report:         res.Report,
-		Engine:         res.Engine,
-	})
+	writeJSON(w, resp)
 }
 
-// apsInputs validates a C²-Bound APS request and resolves its space,
-// evaluator and metric; /v1/aps, job submission and job runs share it.
-func (s *Server) apsInputs(m core.Model, req *APSRequest) (dse.Space, dse.CtxEvaluator, aps.Metric, error) {
+// apsRun is one validated APS request. The C²-Bound family carries the
+// space, evaluator and metric of the full flow (aps.RunCtx); every other
+// family has no analytic KKT phase, so its run is the exhaustive grid
+// scan of its declared space (aps.RunModelCtx), which builds its own
+// evaluator.
+type apsRun struct {
+	req    *APSRequest
+	fm     model.Model
+	cb     *model.C2Bound // nil: a grid-scan family
+	space  dse.Space
+	ev     dse.CtxEvaluator
+	metric aps.Metric
+}
+
+// apsInputs validates an APS request for any family and resolves what
+// its run needs; /v1/aps, job submission and job runs share it.
+func (s *Server) apsInputs(req *APSRequest) (*apsRun, error) {
+	fm, err := s.catalog.ResolveModel(req.Model)
+	if err != nil {
+		return nil, err
+	}
+	ar := &apsRun{req: req, fm: fm}
+	cb, isC2 := fm.(*model.C2Bound)
+	if !isC2 {
+		switch {
+		case len(req.Space.Params) > 0:
+			err = validationf("server: family APS sweeps the family's declared space; use per, not an explicit grid")
+		case req.Space.Per < 0:
+			err = validationf("server: space per=%d is negative", req.Space.Per)
+		case req.Radius != 0:
+			err = validationf("server: family APS scans the whole grid and has no neighborhood; radius must be 0, got %d", req.Radius)
+		case req.Metric != "" && req.Metric != "time":
+			err = validationf("server: family APS supports only the time metric, got %q", req.Metric)
+		case req.Evaluator.Kind != "" && req.Evaluator.Kind != "model":
+			err = validationf("server: family APS needs the model evaluator, got %q", req.Evaluator.Kind)
+		}
+		if err != nil {
+			return nil, err
+		}
+		return ar, nil
+	}
 	if req.Radius < 0 {
-		return dse.Space{}, nil, 0, validationf("server: radius=%d is negative", req.Radius)
+		return nil, validationf("server: radius=%d is negative", req.Radius)
 	}
-	space, err := s.catalog.Space(m, req.Space)
+	ar.cb = cb
+	if ar.space, err = s.catalog.SpaceFamily(fm, req.Space); err != nil {
+		return nil, err
+	}
+	ev, err := s.catalog.EvaluatorFamily(fm, req.Evaluator)
 	if err != nil {
-		return dse.Space{}, nil, 0, err
+		return nil, err
 	}
-	ev, err := s.catalog.Evaluator(m, req.Evaluator)
-	if err != nil {
-		return dse.Space{}, nil, 0, err
-	}
-	var metric aps.Metric
+	ar.ev = wrapEvaluator(ev)
 	switch req.Metric {
 	case "", "time":
-		metric = aps.MetricTime
+		ar.metric = aps.MetricTime
 	case "time_per_work":
-		metric = aps.MetricTimePerWork
+		ar.metric = aps.MetricTimePerWork
 	default:
-		return dse.Space{}, nil, 0, validationf("server: unknown metric %q (want time or time_per_work)", req.Metric)
+		return nil, validationf("server: unknown metric %q (want time or time_per_work)", req.Metric)
 	}
-	return space, wrapEvaluator(ev), metric, nil
+	return ar, nil
 }
 
-// apsResult renders the deterministic part of an APS outcome, shared by
-// the /v1/aps response and the APS job payload.
-func apsResult(res aps.Result) APSJobResult {
-	out := APSJobResult{
+// runAPSRequest runs a validated APS request on the shared engine under
+// the checkpoint at path (resume: restore it first) and renders the
+// /v1/aps response, whose deterministic part is an APS job's payload.
+// n counts the simulated slice's raw evaluator invocations; a grid-scan
+// family's run counts none. On error the response is partial.
+func (s *Server) runAPSRequest(ctx context.Context, ar *apsRun, path string, resume bool, n *atomic.Int64) (APSResponse, error) {
+	unlock, err := s.lockCheckpoint(path)
+	if err != nil {
+		return APSResponse{}, err
+	}
+	defer unlock()
+	sweep := dse.SweepOptions{CheckpointPath: path, Resume: resume}
+	if ar.cb == nil {
+		res, err := aps.RunModelCtx(ctx, ar.fm, aps.ModelOptions{Engine: s.eng, Per: ar.req.Space.Per, Sweep: sweep})
+		return APSResponse{
+			Analytic:       APSDesign{Method: "grid"},
+			Snapped:        []int{},
+			BestIndex:      res.BestIdx,
+			BestPoint:      res.BestPoint,
+			BestValue:      bestValue(res.BestIdx, res.BestValue),
+			AnalyticPoints: res.SpaceSize,
+			SpaceSize:      res.SpaceSize,
+			Report:         res.Report,
+			Engine:         res.Engine,
+		}, err
+	}
+	res, err := aps.RunCtx(ctx, ar.cb.CoreModel(), ar.space, withCount(ar.ev, n), aps.Options{
+		Engine: s.eng,
+		Radius: ar.req.Radius,
+		Metric: ar.metric,
+		Sweep:  sweep,
+	})
+	d := res.Analytic.Design
+	return APSResponse{
 		Analytic: APSDesign{
-			N:        res.Analytic.Design.N,
-			CoreArea: jsonFloat(res.Analytic.Design.CoreArea),
-			L1Area:   jsonFloat(res.Analytic.Design.L1Area),
-			L2Area:   jsonFloat(res.Analytic.Design.L2Area),
+			N:        d.N,
+			CoreArea: jsonFloat(d.CoreArea),
+			L1Area:   jsonFloat(d.L1Area),
+			L2Area:   jsonFloat(d.L2Area),
 			Time:     jsonFloat(res.Analytic.Eval.Time),
 			Method:   res.Analytic.Method,
 			Regime:   int(res.Analytic.Regime),
 		},
 		Snapped:        res.Snapped,
 		BestIndex:      res.BestIdx,
+		BestPoint:      res.BestPoint,
+		BestValue:      bestValue(res.BestIdx, res.BestValue),
+		Simulations:    res.Simulations,
 		AnalyticPoints: res.AnalyticPoints,
-		SpaceSize:      res.SpaceSize,
-	}
-	if res.BestIdx >= 0 {
-		out.BestPoint = res.BestPoint
-		v := jsonFloat(res.BestValue)
-		out.BestValue = &v
-	}
-	return out
-}
-
-// handleAPSFamily serves /v1/aps for non-C²-Bound families: no analytic
-// KKT phase exists for them, so the optimum comes from the exhaustive
-// engine-batched grid scan over the family's declared space
-// (aps.RunModelCtx). The response keeps the APSResponse shape with the
-// analytic block marked "grid" and zero simulations.
-func (s *Server) handleAPSFamily(w http.ResponseWriter, r *http.Request, fm model.Model, req APSRequest) {
-	var err error
-	switch {
-	case len(req.Space.Params) > 0:
-		err = validationf("server: family APS sweeps the family's declared space; use per, not an explicit grid")
-	case req.Space.Per < 0:
-		err = validationf("server: space per=%d is negative", req.Space.Per)
-	case req.Radius != 0:
-		err = validationf("server: family APS scans the whole grid and has no neighborhood; radius must be 0, got %d", req.Radius)
-	case req.Metric != "" && req.Metric != "time":
-		err = validationf("server: family APS supports only the time metric, got %q", req.Metric)
-	case req.Evaluator.Kind != "" && req.Evaluator.Kind != "model":
-		err = validationf("server: family APS needs the model evaluator, got %q", req.Evaluator.Kind)
-	}
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ckPath, err := s.checkpointPath(r.Context(), req.Checkpoint)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	unlock, err := s.lockCheckpoint(ckPath)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer unlock()
-	res, err := aps.RunModelCtx(r.Context(), fm, aps.ModelOptions{
-		Engine: s.eng,
-		Per:    req.Space.Per,
-		Sweep: dse.SweepOptions{
-			CheckpointPath: ckPath,
-			Resume:         req.Resume,
-		},
-	})
-	if err != nil {
-		s.fail(w, fmt.Errorf("aps: %w", err))
-		return
-	}
-	resp := APSResponse{
-		Analytic:       APSDesign{Method: "grid"},
-		Snapped:        []int{},
-		BestIndex:      res.BestIdx,
-		AnalyticPoints: res.SpaceSize,
 		SpaceSize:      res.SpaceSize,
 		Report:         res.Report,
 		Engine:         res.Engine,
+	}, err
+}
+
+// bestValue renders an optimum's value for the wire: nil when no point
+// was feasible (idx < 0). Sweep frames, sweep jobs and APS responses
+// all fill their best value through it.
+func bestValue(idx int, v float64) *jsonFloat {
+	if idx < 0 {
+		return nil
 	}
-	if res.BestIdx >= 0 {
-		resp.BestPoint = res.BestPoint
-		v := jsonFloat(res.BestValue)
-		resp.BestValue = &v
+	jv := jsonFloat(v)
+	return &jv
+}
+
+// jobResult is the deterministic part of an APS response: an APS job's
+// payload (simulation and cache counters live in the job's report).
+func (r APSResponse) jobResult() APSJobResult {
+	return APSJobResult{
+		Analytic:       r.Analytic,
+		Snapped:        r.Snapped,
+		BestIndex:      r.BestIndex,
+		BestPoint:      r.BestPoint,
+		BestValue:      r.BestValue,
+		AnalyticPoints: r.AnalyticPoints,
+		SpaceSize:      r.SpaceSize,
 	}
-	writeJSON(w, resp)
 }
 
 // --- catalog ---------------------------------------------------------

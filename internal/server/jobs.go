@@ -6,11 +6,11 @@ import (
 	"errors"
 	"net/http"
 	"path/filepath"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/aps"
 	"repro/internal/dse"
 	"repro/internal/obs"
 )
@@ -147,8 +147,9 @@ func (m *jobManager) checkpointPath(id string) string {
 // nowStamp is the wall-clock stamp format of job records.
 func nowStamp() string { return time.Now().UTC().Format(time.RFC3339Nano) }
 
-// validateSubmit checks a submission far enough that submit-time errors
-// reach the client synchronously instead of surfacing as failed jobs.
+// validateSubmit checks a submission with the validator its endpoint
+// uses, so submit-time errors reach the client synchronously instead of
+// surfacing as failed jobs.
 func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 	switch {
 	case sub.Sweep != nil && sub.APS != nil:
@@ -156,50 +157,35 @@ func (s *Server) validateSubmit(sub *JobSubmitRequest) (string, error) {
 	case sub.Sweep == nil && sub.APS == nil:
 		return "", validationf("server: job names no work; want sweep or aps")
 	}
-	kind := "sweep"
+	kind, ck, resume := "sweep", "", false
 	if sub.APS != nil {
-		kind = "aps"
+		kind, ck, resume = "aps", sub.APS.Checkpoint, sub.APS.Resume
+	} else {
+		ck, resume = sub.Sweep.Checkpoint, sub.Sweep.Resume
 	}
 	if sub.Kind != "" && sub.Kind != kind {
 		return "", validationf("server: job kind %q does not match the %s request", sub.Kind, kind)
 	}
-	if kind == "sweep" {
-		req := sub.Sweep
-		if req.Checkpoint != "" || req.Resume {
-			return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
-		}
-		if _, _, err := s.sweepInputs(req); err != nil {
-			return "", err
-		}
-		return kind, nil
-	}
-	req := sub.APS
-	if req.Checkpoint != "" || req.Resume {
+	if ck != "" || resume {
 		return "", validationf("server: jobs manage their own checkpoints; drop checkpoint/resume")
 	}
-	model, err := s.catalog.Resolve(req.Model)
-	if err != nil {
-		return "", err
+	var err error
+	if kind == "aps" {
+		_, err = s.apsInputs(sub.APS)
+	} else {
+		_, err = s.sweepInputs(sub.Sweep)
 	}
-	if _, _, _, err := s.apsInputs(model, req); err != nil {
-		return "", err
-	}
-	return kind, nil
+	return kind, err
 }
 
 // handleJobSubmit accepts a job, persists it and starts its runner; the
 // 202 response carries the pending record with its ID.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.errors.Add(1)
-		writeErrorBody(w, http.StatusServiceUnavailable,
-			ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
+	if s.rejectDraining(w) {
 		return
 	}
 	t := tenantFrom(r.Context())
-	if ok, wait := t.allow(time.Now()); !ok {
-		s.shedTenant(w, t, retryAfterSeconds(wait),
-			ErrorBody{Code: CodeRateLimited, Message: "tenant rate limit exceeded; retry later"})
+	if !s.allowRate(w, t) {
 		return
 	}
 	var sub JobSubmitRequest
@@ -237,10 +223,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	s.jobs.mu.Lock()
 	s.jobs.entries[id] = e
 	s.jobs.mu.Unlock()
+	// Snapshot before the runner starts: once it runs, the record may
+	// already be running.
+	pending := e.snapshot()
 	go s.jobs.run(e)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusAccepted)
-	_ = json.NewEncoder(w).Encode(e.snapshot())
+	_ = json.NewEncoder(w).Encode(pending)
 }
 
 // handleJobList lists the requesting tenant's jobs, oldest first.
@@ -258,20 +247,12 @@ func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 			resp.Jobs = append(resp.Jobs, j)
 		}
 	}
-	sortJobs(resp.Jobs)
+	sort.Slice(resp.Jobs, func(i, k int) bool { return jobLess(&resp.Jobs[i], &resp.Jobs[k]) })
 	writeJSON(w, resp)
 }
 
-// sortJobs orders job snapshots by creation stamp then ID.
-func sortJobs(jobs []Job) {
-	for i := 1; i < len(jobs); i++ {
-		for k := i; k > 0 && jobLess(jobs[k], jobs[k-1]); k-- {
-			jobs[k], jobs[k-1] = jobs[k-1], jobs[k]
-		}
-	}
-}
-
-func jobLess(a, b Job) bool {
+// jobLess orders jobs by creation stamp, then ID.
+func jobLess(a, b *Job) bool {
 	if a.Created != b.Created {
 		return a.Created < b.Created
 	}
@@ -425,13 +406,21 @@ func (m *jobManager) run(e *jobEntry) {
 
 	ctx, sp := m.s.tracer.Start(ctx, "server.job",
 		obs.S("job", e.job.ID), obs.S("kind", e.job.Kind), obs.S("tenant", e.job.Tenant))
-	var result json.RawMessage
+	var payload any
 	var report *dse.SweepReport
-	switch e.job.Kind {
-	case "aps":
-		result, report, err = m.runAPS(ctx, e)
+	var sub JobSubmitRequest
+	err = json.Unmarshal(e.job.Request, &sub)
+	switch {
+	case err == nil && e.job.Kind == "aps" && sub.APS != nil:
+		payload, report, err = m.runAPS(ctx, e, sub.APS)
+	case err == nil && e.job.Kind != "aps" && sub.Sweep != nil:
+		payload, report, err = m.runSweep(ctx, e, sub.Sweep)
 	default:
-		result, report, err = m.runSweep(ctx, e)
+		err = validationf("server: job %s carries an unreadable request", e.job.ID)
+	}
+	var result json.RawMessage
+	if err == nil {
+		result, err = json.Marshal(payload)
 	}
 	sp.Finish()
 	if err != nil {
@@ -485,94 +474,33 @@ func (m *jobManager) failJob(e *jobEntry, err error) {
 	_ = m.store.save(&snap)
 }
 
-// runSweep executes a sweep job attempt, always resuming the job's own
-// checkpoint (absent on the first attempt: a fresh sweep).
-func (m *jobManager) runSweep(ctx context.Context, e *jobEntry) (json.RawMessage, *dse.SweepReport, error) {
-	var sub JobSubmitRequest
-	if err := json.Unmarshal(e.job.Request, &sub); err != nil || sub.Sweep == nil {
-		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
-	}
-	req := sub.Sweep
-	space, ev, err := m.s.sweepInputs(req)
+// runSweep executes a sweep job attempt through the /v1/sweep runner:
+// local-only, always resuming the job's own checkpoint (absent on the
+// first attempt: a fresh sweep).
+func (m *jobManager) runSweep(ctx context.Context, e *jobEntry, req *SweepRequest) (any, *dse.SweepReport, error) {
+	sr, err := m.s.sweepInputs(req)
 	if err != nil {
 		return nil, nil, err
-	}
-	total := len(req.Indices)
-	if total == 0 {
-		total = space.Size()
 	}
 	e.mu.Lock()
-	e.total = total
+	e.total = sr.total()
 	e.mu.Unlock()
-
-	ck := m.checkpointPath(e.job.ID)
-	unlock, err := m.s.lockCheckpoint(ck)
+	unlock, err := m.s.openSweep(sr, m.checkpointPath(e.job.ID), true, &e.evaluated)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer unlock()
-	values, report, err := dse.SweepCtx(ctx, withCount(ev, &e.evaluated), space, req.Indices, dse.SweepOptions{
-		Engine:          m.s.eng,
-		CheckpointPath:  ck,
-		CheckpointEvery: req.CheckpointEvery,
-		Resume:          true,
-	})
-	if err != nil {
-		return nil, &report, err
-	}
-	res := SweepJobResult{BestIndex: -1}
-	if idx, val := dse.Best(values); idx >= 0 {
-		res.BestIndex = idx
-		res.BestPoint = space.Point(idx)
-		v := jsonFloat(val)
-		res.BestValue = &v
-	}
-	if req.IncludeValues {
-		res.Values = jsonFloats(values)
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return nil, &report, err
-	}
-	return data, &report, nil
+	res, report, err := sr.run(ctx, dse.SweepCtx)
+	return res, &report, err
 }
 
-// runAPS executes an APS job attempt.
-func (m *jobManager) runAPS(ctx context.Context, e *jobEntry) (json.RawMessage, *dse.SweepReport, error) {
-	var sub JobSubmitRequest
-	if err := json.Unmarshal(e.job.Request, &sub); err != nil || sub.APS == nil {
-		return nil, nil, validationf("server: job %s carries an unreadable request", e.job.ID)
-	}
-	req := sub.APS
-	model, err := m.s.catalog.Resolve(req.Model)
+// runAPS executes an APS job attempt through the /v1/aps runner, for
+// every family, keeping the deterministic part of its response.
+func (m *jobManager) runAPS(ctx context.Context, e *jobEntry, req *APSRequest) (any, *dse.SweepReport, error) {
+	ar, err := m.s.apsInputs(req)
 	if err != nil {
 		return nil, nil, err
 	}
-	space, ev, metric, err := m.s.apsInputs(model, req)
-	if err != nil {
-		return nil, nil, err
-	}
-	ck := m.checkpointPath(e.job.ID)
-	unlock, err := m.s.lockCheckpoint(ck)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer unlock()
-	res, err := aps.RunCtx(ctx, model, space, withCount(ev, &e.evaluated), aps.Options{
-		Engine: m.s.eng,
-		Radius: req.Radius,
-		Metric: metric,
-		Sweep: dse.SweepOptions{
-			CheckpointPath: ck,
-			Resume:         true,
-		},
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := json.Marshal(apsResult(res))
-	if err != nil {
-		return nil, &res.Report, err
-	}
-	return data, &res.Report, nil
+	resp, err := m.s.runAPSRequest(ctx, ar, m.checkpointPath(e.job.ID), true, &e.evaluated)
+	return resp.jobResult(), &resp.Report, err
 }

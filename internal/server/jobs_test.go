@@ -101,8 +101,8 @@ func TestJobLifecycle(t *testing.T) {
 	if j.Kind != "sweep" || j.Tenant != AnonymousTenant || j.Attempts != 0 {
 		t.Fatalf("accepted record %+v", j)
 	}
-	if terminalJobState(j.State) {
-		t.Fatalf("job born terminal: %s", j.State)
+	if j.State != JobPending {
+		t.Fatalf("accepted record is %s, want %s", j.State, JobPending)
 	}
 
 	// Result before success is a 409 naming the live state.
@@ -279,6 +279,44 @@ func TestJobFamilySweepMatchesSweepEndpoint(t *testing.T) {
 	if got.BestIndex != want.BestIndex ||
 		math.Float64bits(float64(*got.BestValue)) != math.Float64bits(float64(*want.BestValue)) {
 		t.Fatalf("job best %d = %v, sweep best %d = %v", got.BestIndex, *got.BestValue, want.BestIndex, *want.BestValue)
+	}
+}
+
+// TestJobFamilyAPSMatchesAPSEndpoint submits a commsync APS run as a
+// job: /v1/jobs must accept every family /v1/aps serves, and the job's
+// best design must be the endpoint's, bit for bit.
+func TestJobFamilyAPSMatchesAPSEndpoint(t *testing.T) {
+	_, ts := newTestServer(t, Options{Workers: 2, JobDir: t.TempDir()})
+	req := APSRequest{
+		Model: ModelSpec{Schema: CatalogSchema, App: "tmm", Family: model.FamilyCommSync},
+		Space: SpaceSpec{Per: 2},
+	}
+	resp := postJSON(t, http.DefaultClient, ts.URL+"/v1/aps", req)
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		t.Fatalf("/v1/aps = %d\n%s", resp.StatusCode, body)
+	}
+	var want APSResponse
+	decodeBody(t, resp, &want)
+	j := submitJob(t, ts.URL, JobSubmitRequest{APS: &req})
+	done := waitJobState(t, ts.URL, j.ID, JobSucceeded)
+	if done.Report == nil || len(done.Report.Completed) != want.SpaceSize {
+		t.Fatalf("job report %+v, want %d completed", done.Report, want.SpaceSize)
+	}
+	var got APSJobResult
+	if status := getJSON(t, ts.URL, "/v1/jobs/"+j.ID+"/result", "", &got); status != http.StatusOK {
+		t.Fatalf("result = %d", status)
+	}
+	if want.BestValue == nil || got.BestValue == nil {
+		t.Fatalf("best value missing: endpoint %v, job %v", want.BestValue, got.BestValue)
+	}
+	if got.BestIndex != want.BestIndex ||
+		math.Float64bits(float64(*got.BestValue)) != math.Float64bits(float64(*want.BestValue)) {
+		t.Fatalf("job best %d = %v, endpoint best %d = %v", got.BestIndex, *got.BestValue, want.BestIndex, *want.BestValue)
+	}
+	if got.Analytic.Method != "grid" || got.SpaceSize != want.SpaceSize {
+		t.Fatalf("job result %+v, want the grid scan of %d points", got, want.SpaceSize)
 	}
 }
 

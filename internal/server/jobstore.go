@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"repro/internal/dse"
+	"repro/internal/robust"
 )
 
 // Job states. The lifecycle (DESIGN.md §11) is
@@ -86,8 +87,8 @@ func newJobID() (string, error) {
 }
 
 // jobStore persists one JSON file per job under its directory, written
-// with the same durability discipline as sweep checkpoints: unique temp
-// file, fsync, rename, directory fsync. Job records are small (the
+// with robust.WriteFileDurable like sweep checkpoints: unique temp file,
+// fsync, rename, directory fsync. Job records are small (the
 // request plus the result), so whole-file rewrites are cheap.
 type jobStore struct {
 	dir string
@@ -112,39 +113,7 @@ func (st *jobStore) save(j *Job) error {
 	if err != nil {
 		return fmt.Errorf("server: encoding job %s: %w", j.ID, err)
 	}
-	data = append(data, '\n')
-	tmp, err := os.CreateTemp(st.dir, j.ID+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Chmod(0o644); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := os.Rename(tmp.Name(), st.path(j.ID)); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	if d, err := os.Open(st.dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
+	return robust.WriteFileDurable(st.path(j.ID), append(data, '\n'))
 }
 
 // load reads one job record.
@@ -184,12 +153,7 @@ func (st *jobStore) list() ([]*Job, error) {
 		}
 		jobs = append(jobs, j)
 	}
-	sort.Slice(jobs, func(i, k int) bool {
-		if jobs[i].Created != jobs[k].Created {
-			return jobs[i].Created < jobs[k].Created
-		}
-		return jobs[i].ID < jobs[k].ID
-	})
+	sort.Slice(jobs, func(i, k int) bool { return jobLess(jobs[i], jobs[k]) })
 	return jobs, nil
 }
 

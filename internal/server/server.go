@@ -419,82 +419,156 @@ func (g *engineGate) AcquireSlot(ctx context.Context) (func(), error) {
 
 // work wraps an evaluation handler with the full load-path middleware:
 // drain rejection, tenant resolution, the token-bucket rate limit,
-// fair-share admission, the per-request deadline, observability
-// propagation, a request span, and panic isolation.
-func (s *Server) work(span string, h func(http.ResponseWriter, *http.Request)) http.Handler {
+// fair-share admission with its queue-wait histogram, the per-request
+// deadline, and the observed, panic-isolated handler call timed into
+// server_request_seconds.
+func (s *Server) work(span string, h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if s.draining.Load() {
-			s.errors.Add(1)
-			writeErrorBody(w, http.StatusServiceUnavailable,
-				ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
+		if s.rejectDraining(w) {
 			return
 		}
-		t, err := s.tenants.lookup(r)
-		if err != nil {
-			s.errors.Add(1)
-			writeError(w, err)
+		t, ok := s.tenant(w, r)
+		if !ok || !s.allowRate(w, t) {
 			return
 		}
-		t.obsRequests.Add(1)
-		if ok, wait := t.allow(time.Now()); !ok {
-			s.shedTenant(w, t, retryAfterSeconds(wait),
-				ErrorBody{Code: CodeRateLimited, Message: "tenant rate limit exceeded; retry later"})
+		done, ok := s.admit(w, r, t, t.obsQueueSec)
+		if !ok {
 			return
 		}
-		queued := time.Now()
-		release, err := s.adm.acquire(r.Context(), t)
-		t.obsQueueSec.Observe(time.Since(queued).Seconds())
-		if err != nil {
-			if err == errSaturated {
-				s.shedTenant(w, t, retryAfterSeconds(s.opts.RetryAfter),
-					ErrorBody{Code: CodeOverloaded, Message: "admission queue full; retry later"})
-				return
-			}
-			s.errors.Add(1)
-			writeError(w, err)
+		defer done()
+		ctx, stop, ok := s.deadline(w, r)
+		if !ok {
 			return
 		}
-		defer release()
-		s.admitted.Add(1)
-		s.inflight.Add(1)
-		defer s.inflight.Done()
-		s.obsInflight.Add(1)
-		defer s.obsInflight.Add(-1)
-
-		timeout, err := s.requestTimeout(r)
-		if err != nil {
-			s.errors.Add(1)
-			writeErrorBody(w, http.StatusBadRequest, ErrorBody{Code: CodeBadRequest, Message: err.Error()})
-			return
-		}
-		ctx, cancel := context.WithTimeout(r.Context(), timeout)
-		defer cancel()
-		id := s.registerCancel(cancel)
-		defer s.unregisterCancel(id)
-		ctx = contextWithTenant(ctx, t)
-		ctx = obs.ContextWithTracer(ctx, s.tracer)
-		ctx = obs.ContextWithMetrics(ctx, s.metrics)
-		ctx, sp := s.tracer.Start(ctx, span)
+		defer stop()
 		start := time.Now()
-		defer func() {
-			s.obsSeconds.Observe(time.Since(start).Seconds())
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				s.errors.Add(1)
-				if sp != nil {
-					sp.Annotate(obs.S("panic", "true"))
-					sp.Finish()
-				}
-				// Best effort: if the handler already streamed a body the
-				// envelope write fails silently, which is all HTTP offers.
-				writeErrorBody(w, http.StatusInternalServerError,
-					ErrorBody{Code: CodeInternal, Message: "internal server error"})
-				return
-			}
-			sp.Finish()
-		}()
-		h(w, r.WithContext(ctx))
+		defer func() { s.obsSeconds.Observe(time.Since(start).Seconds()) }()
+		s.serveObserved(ctx, w, r, t, span, h)
 	})
+}
+
+// control wraps a /v1/jobs control-plane handler: tenant resolution and
+// the observed, panic-isolated handler call — but no admission slot and
+// no deadline beyond the client's, because submit/poll/cancel are cheap
+// and must answer even while the work plane is saturated. Only submit
+// consumes from the tenant's token bucket (it enqueues work; polling
+// must stay free or clients would burn their budget watching jobs).
+func (s *Server) control(span string, h http.HandlerFunc) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if t, ok := s.tenant(w, r); ok {
+			s.serveObserved(r.Context(), w, r, t, span, h)
+		}
+	})
+}
+
+// The request wrappers (work, control, and peerWork in cluster.go) each
+// keep their own step list and share the steps below. A step that
+// answers the request itself reports false, and the wrapper stops.
+
+// rejectDraining answers 503 once Shutdown has begun, reporting whether
+// it did.
+func (s *Server) rejectDraining(w http.ResponseWriter) bool {
+	if !s.draining.Load() {
+		return false
+	}
+	s.errors.Add(1)
+	writeErrorBody(w, http.StatusServiceUnavailable,
+		ErrorBody{Code: CodeUnavailable, Message: "server is draining"})
+	return true
+}
+
+// tenant resolves the request's API key and counts the request against
+// the tenant.
+func (s *Server) tenant(w http.ResponseWriter, r *http.Request) (*tenantState, bool) {
+	t, err := s.tenants.lookup(r)
+	if err != nil {
+		s.fail(w, err)
+		return nil, false
+	}
+	t.obsRequests.Add(1)
+	return t, true
+}
+
+// allowRate spends one token of t's bucket, shedding with 429 +
+// Retry-After when it is empty.
+func (s *Server) allowRate(w http.ResponseWriter, t *tenantState) bool {
+	ok, wait := t.allow(time.Now())
+	if !ok {
+		s.shedTenant(w, t, retryAfterSeconds(wait),
+			ErrorBody{Code: CodeRateLimited, Message: "tenant rate limit exceeded; retry later"})
+	}
+	return ok
+}
+
+// admit takes a fair-share admission slot for t, shedding with 429 +
+// Retry-After when the queue is full; queueWait, when non-nil, observes
+// the time spent waiting. The request counts as admitted and in flight
+// until done runs, which also releases the slot.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenantState, queueWait *obs.Histogram) (done func(), ok bool) {
+	queued := time.Now()
+	release, err := s.adm.acquire(r.Context(), t)
+	queueWait.Observe(time.Since(queued).Seconds())
+	if err == errSaturated {
+		s.shedTenant(w, t, retryAfterSeconds(s.opts.RetryAfter),
+			ErrorBody{Code: CodeOverloaded, Message: "admission queue full; retry later"})
+		return nil, false
+	}
+	if err != nil {
+		s.fail(w, err)
+		return nil, false
+	}
+	s.admitted.Add(1)
+	s.inflight.Add(1)
+	s.obsInflight.Add(1)
+	return func() {
+		s.obsInflight.Add(-1)
+		s.inflight.Done()
+		release()
+	}, true
+}
+
+// deadline derives the request's deadline from ?timeout_ms (a malformed
+// value is a 400) and registers its cancel so a forced drain reaches
+// the request; stop unregisters and cancels it.
+func (s *Server) deadline(w http.ResponseWriter, r *http.Request) (ctx context.Context, stop func(), ok bool) {
+	timeout, err := s.requestTimeout(r)
+	if err != nil {
+		s.errors.Add(1)
+		writeErrorBody(w, http.StatusBadRequest, ErrorBody{Code: CodeBadRequest, Message: err.Error()})
+		return nil, nil, false
+	}
+	ctx, cancel := context.WithTimeout(r.Context(), timeout)
+	id := s.registerCancel(cancel)
+	return ctx, func() {
+		s.unregisterCancel(id)
+		cancel()
+	}, true
+}
+
+// serveObserved runs h on ctx carrying t, the server's tracer and
+// registry and a span named span, and isolates a handler panic as a 500
+// envelope.
+func (s *Server) serveObserved(ctx context.Context, w http.ResponseWriter, r *http.Request, t *tenantState, span string, h http.HandlerFunc) {
+	ctx = contextWithTenant(ctx, t)
+	ctx = obs.ContextWithTracer(ctx, s.tracer)
+	ctx = obs.ContextWithMetrics(ctx, s.metrics)
+	ctx, sp := s.tracer.Start(ctx, span)
+	defer func() {
+		rec := recover()
+		if rec != nil {
+			sp.Annotate(obs.S("panic", "true"))
+		}
+		sp.Finish()
+		if rec != nil {
+			s.panics.Add(1)
+			s.errors.Add(1)
+			// Best effort: if the handler already streamed a body the
+			// envelope write fails silently, which is all HTTP offers.
+			writeErrorBody(w, http.StatusInternalServerError,
+				ErrorBody{Code: CodeInternal, Message: "internal server error"})
+		}
+	}()
+	h(w, r.WithContext(ctx))
 }
 
 // shedTenant renders one 429, charging both the global and the tenant's
@@ -505,43 +579,6 @@ func (s *Server) shedTenant(w http.ResponseWriter, t *tenantState, retryAfter in
 	t.obsShed.Add(1)
 	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	writeErrorBody(w, http.StatusTooManyRequests, body)
-}
-
-// control wraps a /v1/jobs control-plane handler: tenant resolution, a
-// request span and panic isolation — but no admission slot and no
-// deadline beyond the client's, because submit/poll/cancel are cheap
-// and must answer even while the work plane is saturated. Only submit
-// consumes from the tenant's token bucket (it enqueues work; polling
-// must stay free or clients would burn their budget watching jobs).
-func (s *Server) control(span string, h func(http.ResponseWriter, *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		t, err := s.tenants.lookup(r)
-		if err != nil {
-			s.errors.Add(1)
-			writeError(w, err)
-			return
-		}
-		t.obsRequests.Add(1)
-		ctx := contextWithTenant(r.Context(), t)
-		ctx = obs.ContextWithTracer(ctx, s.tracer)
-		ctx = obs.ContextWithMetrics(ctx, s.metrics)
-		ctx, sp := s.tracer.Start(ctx, span)
-		defer func() {
-			if rec := recover(); rec != nil {
-				s.panics.Add(1)
-				s.errors.Add(1)
-				if sp != nil {
-					sp.Annotate(obs.S("panic", "true"))
-					sp.Finish()
-				}
-				writeErrorBody(w, http.StatusInternalServerError,
-					ErrorBody{Code: CodeInternal, Message: "internal server error"})
-				return
-			}
-			sp.Finish()
-		}()
-		h(w, r.WithContext(ctx))
-	})
 }
 
 // requestTimeout derives the request deadline from ?timeout_ms, clamped
