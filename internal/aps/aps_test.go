@@ -3,6 +3,7 @@ package aps
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/chip"
@@ -84,6 +85,41 @@ func TestRunCloseToGroundTruth(t *testing.T) {
 	}
 	if relErr > 0.5 {
 		t.Fatalf("APS error %.3f vs ground truth too large", relErr)
+	}
+}
+
+// TestRunCtxMatchesGolden pins one small APS run bit for bit: the
+// analytic design, its snapped grid coordinates and the best simulated
+// point and value, recorded as IEEE-754 bit patterns.
+func TestRunCtxMatchesGolden(t *testing.T) {
+	m, space, eval := testSetup(t, 3)
+	res, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
+	if err != nil {
+		t.Fatalf("RunCtx: %v", err)
+	}
+	d := res.Analytic.Design
+	if d.N != 64 || res.Analytic.Method != "nelder-mead" {
+		t.Fatalf("analytic N=%d method %q, want N=64 method nelder-mead", d.N, res.Analytic.Method)
+	}
+	for _, c := range []struct {
+		name string
+		v    float64
+		want uint64
+	}{
+		{"A0", d.CoreArea, 0x40090f4487678177},
+		{"A1", d.L1Area, 0x3ff44b9dfb7f2942},
+		{"A2", d.L2Area, 0x3ff395d8f5b1d3ce},
+		{"best value", res.BestValue, 0x42078c90bb0ce2f6},
+	} {
+		if math.Float64bits(c.v) != c.want {
+			t.Errorf("%s: %#016x, want %#016x", c.name, math.Float64bits(c.v), c.want)
+		}
+	}
+	if want := []int{2, 2, 2, 0, 0, 0}; !reflect.DeepEqual(res.Snapped, want) {
+		t.Errorf("snapped %v, want %v", res.Snapped, want)
+	}
+	if res.BestIdx != 710 {
+		t.Errorf("best index %d, want 710", res.BestIdx)
 	}
 }
 
