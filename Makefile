@@ -80,10 +80,10 @@ cover:
 
 # A quick shake of every fuzz target (one target per go test invocation).
 fuzz-short:
-	$(GO) test -run XXX -fuzz FuzzNewton1D -fuzztime 10s ./internal/solve
 	$(GO) test -run XXX -fuzz FuzzNelderMead -fuzztime 10s ./internal/solve
 	$(GO) test -run XXX -fuzz FuzzAnalyze -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzSerializeIdempotent -fuzztime 10s ./internal/camat
+	$(GO) test -run XXX -fuzz FuzzDetectorMatchesBatch -fuzztime 10s ./internal/detector
 	$(GO) test -run XXX -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/engine
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/dse
 

@@ -1,6 +1,6 @@
 // Package errwrap enforces the error-chain contract the robustness layer
-// (PR 1) depends on: solve.ConvergenceError, robust.PanicError and the
-// retry machinery are all consumed through errors.Is/errors.As, which
+// depends on: robust.PanicError, the retry machinery and the server's
+// error envelope are all consumed through errors.Is/errors.As, which
 // only see through fmt.Errorf when the error argument is wrapped with
 // %w. The analyzer flags
 //

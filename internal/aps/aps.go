@@ -39,13 +39,14 @@ const (
 
 // Options tunes the APS run.
 type Options struct {
-	// Engine is the shared evaluation service. The analytic optimizer,
-	// the grid snap and the simulated slice all route through it, so an
-	// APS run following a ground-truth sweep on the same engine reuses
-	// every overlapping simulation from the cache (Fig. 6's
-	// neighborhoods overlap prior sweeps by construction). Nil builds a
-	// private engine for this run — the optimizer and the slice still
-	// share one cache within the run.
+	// Engine is the shared evaluation service. The grid snap and the
+	// simulated slice route through it, so an APS run following a
+	// ground-truth sweep on the same engine reuses every overlapping
+	// simulation from the cache (Fig. 6's neighborhoods overlap prior
+	// sweeps by construction). Nil builds a private engine for this run.
+	// The analytic optimizer evaluates directly: its probes are keyed by
+	// a fingerprint no other flow shares, so memoizing them would only
+	// fill the cache.
 	Engine *engine.Engine
 	// Radius widens the simulated neighborhood around the analytic
 	// solution in the A0/A1/A2/N dimensions; 0 reproduces the paper's
@@ -120,8 +121,7 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 		obs.I("space_size", int64(space.Size())), obs.I("radius", int64(opts.Radius)))
 	defer runSp.Finish()
 
-	// One engine serves the whole run: the analytic optimizer's probes,
-	// the grid snap and the simulated slice share its cache and pool.
+	// One engine serves the grid snap and the simulated slice.
 	r := startRun(ctx, opts.Engine, opts.Workers, opts.Sweep)
 
 	// Step 1+2: analytic optimization (characterization is assumed done:
@@ -131,10 +131,8 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 	// (A0, A1, A2, N) combinations — still pure analysis, zero
 	// simulations — because the continuous optimum may sit between grid
 	// values (especially its tight area constraint).
-	optOpts := opts.Optimize
-	optOpts.Engine = r.eng
 	optCtx, optSp := tr.Start(ctx, "aps.optimize")
-	analytic, err := m.OptimizeCtx(optCtx, optOpts)
+	analytic, err := m.OptimizeCtx(optCtx, opts.Optimize)
 	optSp.Finish()
 	if err != nil {
 		return Result{}, err

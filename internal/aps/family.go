@@ -40,7 +40,7 @@ type ModelResult struct {
 
 // RunModelCtx optimizes any registered model family over its declared
 // design space. It is the family-generic sibling of RunCtx: the
-// C²-Bound family keeps the full APS flow (analytic KKT solve plus
+// C²-Bound family keeps the full APS flow (analytic area solve plus
 // simulated slice) because only it carries the analytic machinery;
 // every family gets the engine-batched exhaustive grid scan this entry
 // point runs. The whole grid rides the engine's batched path through the

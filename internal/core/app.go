@@ -1,9 +1,9 @@
 // Package core implements the C²-Bound analytical model itself: the
 // execution-time objective of Eq. 10, its physical constraints (Eq. 11 and
-// Eq. 12 via package chip), the two-regime optimization of §III-C solved
-// with Lagrange multipliers and Newton's method (with a derivative-free
-// fallback), and the multi-application core-allocation case study of
-// Fig. 7.
+// Eq. 12 via package chip), the two-regime optimization of §III-C (a
+// core-count scan over a Nelder-Mead area split held on the Eq. 12
+// constraint surface), and the multi-application core-allocation case
+// study of Fig. 7.
 package core
 
 import (

@@ -134,7 +134,7 @@ func (m Model) OptimizeEnergy(pm PowerModel, obj EnergyObjective, opts Options) 
 	bestScore := math.Inf(1)
 	found := false
 	tryN := func(n int) {
-		d, _, _, err := m.optimizeAreasScored(n, opts, func(d chip.Design) float64 {
+		d, err := m.optimizeAreasScored(n, opts, func(d chip.Design) float64 {
 			e, err := m.EvaluateEnergy(d, pm)
 			if err != nil {
 				return math.Inf(1)
@@ -245,12 +245,11 @@ func nextN(n int) int {
 // good — energy objectives may prefer *dark silicon* (unused area leaks
 // nothing), so a third free variable scales how much of the per-core
 // budget is actually provisioned; Eq. 12 becomes an inequality here.
-func (m Model) optimizeAreasScored(n int, opts Options, score func(chip.Design) float64) (chip.Design, string, int, error) {
+func (m Model) optimizeAreasScored(n int, opts Options, score func(chip.Design) float64) (chip.Design, error) {
 	budget := (m.Chip.TotalArea - m.Chip.FixedArea) / float64(n)
 	if budget < 3*opts.MinArea {
-		return chip.Design{}, "", 0, fmt.Errorf("core: %d cores leave only %.3g mm² per core", n, budget)
+		return chip.Design{}, fmt.Errorf("core: %d cores leave only %.3g mm² per core", n, budget)
 	}
-	count := 0
 	design := func(u []float64) chip.Design {
 		e0 := math.Exp(u[0])
 		e1 := math.Exp(u[1])
@@ -268,19 +267,16 @@ func (m Model) optimizeAreasScored(n int, opts Options, score func(chip.Design) 
 			L2Area:   opts.MinArea + usable*1/sum,
 		}
 	}
-	objU := func(u []float64) float64 {
-		count++
-		return score(design(u))
-	}
+	objU := func(u []float64) float64 { return score(design(u)) }
 	bestU, bestS := nmMinimize(objU, []float64{1, 0, 2})
 	u2, s2 := nmMinimize(objU, []float64{-1, 1, 0})
 	if s2 < bestS {
 		bestU, bestS = u2, s2
 	}
 	if math.IsInf(bestS, 1) {
-		return chip.Design{}, "", count, fmt.Errorf("core: no feasible split for N=%d", n)
+		return chip.Design{}, fmt.Errorf("core: no feasible split for N=%d", n)
 	}
-	return design(bestU), "nelder-mead", count, nil
+	return design(bestU), nil
 }
 
 func nmMinimize(obj func([]float64) float64, x0 []float64) ([]float64, float64) {

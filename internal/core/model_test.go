@@ -192,22 +192,30 @@ func TestClassifyRegime(t *testing.T) {
 	}
 }
 
+// TestOptimizeAreasConstraintTight checks that every catalog app's split
+// fills the Eq. 12 budget and costs no more than the two Nelder-Mead
+// starts can spend: 3 initial vertices plus at most 4 probes (reflect,
+// expand or contract, and a 2-vertex shrink) in each of 400 iterations.
+// A second solver run beside the simplex would blow that ceiling.
 func TestOptimizeAreasConstraintTight(t *testing.T) {
-	m := testModel(FluidanimateApp())
-	for _, n := range []int{1, 8, 64} {
-		d, method, evals, err := m.OptimizeAreas(n, Options{})
-		if err != nil {
-			t.Fatalf("OptimizeAreas(%d): %v", n, err)
-		}
-		if method == "" || evals <= 0 {
-			t.Fatalf("missing method/evals: %q, %d", method, evals)
-		}
-		used := m.Chip.AreaUsed(d)
-		if math.Abs(used-m.Chip.TotalArea) > 1e-6*m.Chip.TotalArea {
-			t.Fatalf("N=%d: constraint slack, used %v of %v", n, used, m.Chip.TotalArea)
-		}
-		if d.CoreArea <= 0 || d.L1Area <= 0 || d.L2Area <= 0 {
-			t.Fatalf("non-positive areas: %v", d)
+	const maxEvals = 2 * (3 + 4*400)
+	for name, app := range catalogApps {
+		m := testModel(app())
+		for _, n := range []int{1, 8, 64, 512} {
+			d, evals, err := m.OptimizeAreas(n, Options{})
+			if err != nil {
+				t.Fatalf("%s OptimizeAreas(%d): %v", name, n, err)
+			}
+			if evals <= 0 || evals > maxEvals {
+				t.Fatalf("%s N=%d: %d objective evaluations, want 1..%d", name, n, evals, maxEvals)
+			}
+			used := m.Chip.AreaUsed(d)
+			if math.Abs(used-m.Chip.TotalArea) > 1e-6*m.Chip.TotalArea {
+				t.Fatalf("%s N=%d: constraint slack, used %v of %v", name, n, used, m.Chip.TotalArea)
+			}
+			if d.CoreArea <= 0 || d.L1Area <= 0 || d.L2Area <= 0 {
+				t.Fatalf("%s N=%d: non-positive areas: %v", name, n, d)
+			}
 		}
 	}
 }
@@ -215,7 +223,7 @@ func TestOptimizeAreasConstraintTight(t *testing.T) {
 func TestOptimizeAreasBeatsNaiveSplits(t *testing.T) {
 	m := testModel(FluidanimateApp())
 	n := 16
-	d, _, _, err := m.OptimizeAreas(n, Options{})
+	d, _, err := m.OptimizeAreas(n, Options{})
 	if err != nil {
 		t.Fatalf("OptimizeAreas: %v", err)
 	}
@@ -256,7 +264,7 @@ func TestOptimizeSublinearFindsFiniteN(t *testing.T) {
 		if n == res.Design.N {
 			continue
 		}
-		d, _, _, err := m.OptimizeAreas(n, Options{MaxN: 256})
+		d, _, err := m.OptimizeAreas(n, Options{MaxN: 256})
 		if err != nil {
 			continue
 		}
@@ -280,7 +288,7 @@ func TestOptimizeSuperlinearMaximizesThroughput(t *testing.T) {
 		t.Fatal("throughput not positive")
 	}
 	// A single-core design should achieve strictly less throughput.
-	d1, _, _, err := m.OptimizeAreas(1, Options{MaxN: 400})
+	d1, _, err := m.OptimizeAreas(1, Options{MaxN: 400})
 	if err != nil {
 		t.Fatalf("OptimizeAreas(1): %v", err)
 	}

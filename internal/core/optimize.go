@@ -44,9 +44,9 @@ type Result struct {
 	Design chip.Design
 	Eval   Eval
 	Regime Regime
-	// Method records which solver produced the area split at the optimal
-	// N: "kkt-newton" when the paper's Lagrange/Newton system converged,
-	// "nelder-mead" when the derivative-free fallback won.
+	// Method names the solver that produced the area split: always
+	// "nelder-mead", the simplex search on the Eq. 12 constraint surface.
+	// (The APS wire reports "grid" for families without this optimizer.)
 	Method string
 	// Evaluations counts objective evaluations spent in the whole solve;
 	// it is the analytic-cost figure APS compares against simulation
@@ -60,11 +60,10 @@ type Options struct {
 	MinPerCore float64 // smallest per-core area; sets the N upper bound (default 0.5 mm²)
 	MinArea    float64 // lower bound for each area component (default 0.05 mm²)
 
-	// Engine, when set, routes every objective probe (Nelder-Mead
-	// vertices, KKT gradient stencils, candidate scoring) through the
-	// shared evaluation engine, so repeated probes of one design are
-	// memoized and the optimizer shares a cache with any sweep running on
-	// the same engine. Nil keeps direct evaluation.
+	// Engine, when set, routes every objective probe (the Nelder-Mead
+	// vertices) through the shared evaluation engine, so repeated probes
+	// of one design are memoized and the optimizer shares a cache with
+	// any sweep running on the same engine. Nil keeps direct evaluation.
 	Engine *engine.Engine
 }
 
@@ -84,14 +83,12 @@ func (o *Options) fill(c chip.Config) {
 }
 
 // evalCounter wraps the model's time objective and counts evaluation
-// requests. The model is compiled once per counter, so every probe —
-// Nelder-Mead vertices, KKT gradient stencils — runs the specialized
-// (bit-identical) kernel instead of re-deriving the model. When an
-// engine is attached, probes are memoized under the model's fingerprint
-// (the count still reflects requests, not raw evaluations —
-// engine.Stats carries the raw figure).
+// requests. The model is compiled once per counter, so every Nelder-Mead
+// vertex runs the specialized (bit-identical) kernel instead of
+// re-deriving the model. When an engine is attached, probes are memoized
+// under the model's fingerprint (the count still reflects requests, not
+// raw evaluations — engine.Stats carries the raw figure).
 type evalCounter struct {
-	m      Model
 	ctx    context.Context
 	eng    *engine.Engine
 	timeAt func(chip.Design) float64
@@ -100,7 +97,7 @@ type evalCounter struct {
 }
 
 func newEvalCounter(ctx context.Context, m Model, eng *engine.Engine) *evalCounter {
-	ec := &evalCounter{m: m, ctx: ctx, eng: eng, timeAt: m.TimeAt}
+	ec := &evalCounter{ctx: ctx, eng: eng, timeAt: m.TimeAt}
 	if compiled, err := m.Compile(); err == nil {
 		ec.timeAt = compiled.TimeAt
 	}
@@ -134,22 +131,22 @@ func (ec *evalCounter) time(d chip.Design) float64 {
 // OptimizeAreas finds the area split (A0, A1, A2) minimizing J_D for a
 // fixed core count n, holding the area constraint of Eq. 12 tight. For
 // fixed N minimizing T and maximizing W/T coincide (W depends only on N),
-// so one routine serves both regimes. It first attempts the paper's
-// Lagrange/KKT system with Newton's method and falls back to a simplex
-// search in the constrained subspace; the better of the two is returned
-// together with the solver label.
-func (m Model) OptimizeAreas(n int, opts Options) (chip.Design, string, int, error) {
+// so one routine serves both regimes. A Nelder-Mead simplex search runs
+// on the constraint surface itself, so its optimum is the constrained
+// optimum the paper's Lagrangian (Eq. 13) characterizes. It also returns
+// the number of objective evaluations spent.
+func (m Model) OptimizeAreas(n int, opts Options) (chip.Design, int, error) {
 	//lint:allow ctxflow deliberate non-ctx convenience wrapper over the ctx-aware optimizer
 	return m.optimizeAreas(context.Background(), n, opts)
 }
 
 // optimizeAreas is OptimizeAreas with the context threaded through to the
 // engine-routed probes.
-func (m Model) optimizeAreas(ctx context.Context, n int, opts Options) (chip.Design, string, int, error) {
+func (m Model) optimizeAreas(ctx context.Context, n int, opts Options) (chip.Design, int, error) {
 	opts.fill(m.Chip)
 	budget := (m.Chip.TotalArea - m.Chip.FixedArea) / float64(n)
 	if budget < 3*opts.MinArea {
-		return chip.Design{}, "", 0, fmt.Errorf("core: %d cores leave only %.3g mm² per core", n, budget)
+		return chip.Design{}, 0, fmt.Errorf("core: %d cores leave only %.3g mm² per core", n, budget)
 	}
 	ec := newEvalCounter(ctx, m, opts.Engine)
 
@@ -176,74 +173,10 @@ func (m Model) optimizeAreas(ctx context.Context, n int, opts Options) (chip.Des
 	if t2 < bestT {
 		bestU, bestT = u2, t2
 	}
-	bestD := design(bestU)
-	method := "nelder-mead"
-
-	// The paper's route: solve the KKT system of Eq. 13 for (A0, A1, A2, λ)
-	// with Newton's method, seeded at the simplex solution. When Newton
-	// fails to converge the solver falls back to Broyden's quasi-Newton
-	// method before settling for the simplex answer, so a hard KKT system
-	// degrades the solution quality, never the API (no bare
-	// ErrNoConvergence escapes this path).
-	if kktD, kktMethod, ok := m.solveKKT(n, bestD, opts, ec); ok {
-		if t := ec.time(kktD); t <= bestT*(1+1e-9) {
-			bestD, bestT, method = kktD, t, kktMethod
-		}
-	}
 	if math.IsInf(bestT, 1) {
-		return chip.Design{}, "", ec.count, fmt.Errorf("core: no feasible split for N=%d", n)
+		return chip.Design{}, ec.count, fmt.Errorf("core: no feasible split for N=%d", n)
 	}
-	return bestD, method, ec.count, nil
-}
-
-// solveKKT assembles and solves the first-order conditions of the
-// Lagrangian L = J_D + λ·(N(A0+A1+A2)+Ac−A) (Eq. 13) for fixed N, trying
-// Newton first and Broyden's quasi-Newton method as a fallback. It
-// reports ok=false when both solvers fail or the solution drifts outside
-// the feasible box; the caller then keeps the Nelder-Mead answer.
-func (m Model) solveKKT(n int, seed chip.Design, opts Options, ec *evalCounter) (chip.Design, string, bool) {
-	nf := float64(n)
-	timeOf := func(a0, a1, a2 float64) float64 {
-		return ec.time(chip.Design{N: n, CoreArea: a0, L1Area: a1, L2Area: a2})
-	}
-	grad := func(a0, a1, a2 float64) (g0, g1, g2 float64) {
-		h0 := 1e-6 * (1 + a0)
-		h1 := 1e-6 * (1 + a1)
-		h2 := 1e-6 * (1 + a2)
-		g0 = (timeOf(a0+h0, a1, a2) - timeOf(a0-h0, a1, a2)) / (2 * h0)
-		g1 = (timeOf(a0, a1+h1, a2) - timeOf(a0, a1-h1, a2)) / (2 * h1)
-		g2 = (timeOf(a0, a1, a2+h2) - timeOf(a0, a1, a2-h2)) / (2 * h2)
-		return
-	}
-	system := func(x []float64) []float64 {
-		a0, a1, a2, lambda := x[0], x[1], x[2], x[3]
-		g0, g1, g2 := grad(a0, a1, a2)
-		return []float64{
-			g0 + lambda*nf,
-			g1 + lambda*nf,
-			g2 + lambda*nf,
-			nf*(a0+a1+a2) + m.Chip.FixedArea - m.Chip.TotalArea,
-		}
-	}
-	g0, _, _ := grad(seed.CoreArea, seed.L1Area, seed.L2Area)
-	x0 := []float64{seed.CoreArea, seed.L1Area, seed.L2Area, -g0 / nf}
-	method := "kkt-newton"
-	x, _, err := solve.NewtonSystem(system, x0, 1e-9, 60)
-	if err != nil {
-		method = "kkt-broyden"
-		x, _, err = solve.Broyden(system, x0, 1e-9, 200)
-	}
-	if err != nil {
-		return chip.Design{}, "", false
-	}
-	d := chip.Design{N: n, CoreArea: x[0], L1Area: x[1], L2Area: x[2]}
-	if x[0] < opts.MinArea || x[1] < opts.MinArea || x[2] < opts.MinArea {
-		return chip.Design{}, "", false
-	}
-	if err := m.Chip.CheckFeasible(d); err != nil {
-		return chip.Design{}, "", false
-	}
-	return d, method, true
+	return design(bestU), ec.count, nil
 }
 
 // Optimize solves the full C²-Bound problem: scan the core count (coarse
@@ -270,9 +203,8 @@ func (m Model) OptimizeCtx(ctx context.Context, opts Options) (Result, error) {
 	defer optSp.Finish()
 
 	type cand struct {
-		d      chip.Design
-		e      Eval
-		method string
+		d chip.Design
+		e Eval
 	}
 	better := func(a, b cand) bool { // is a better than b?
 		if regime == MinimizeTime {
@@ -286,7 +218,7 @@ func (m Model) OptimizeCtx(ctx context.Context, opts Options) (Result, error) {
 		if n < 1 || n > opts.MaxN {
 			return
 		}
-		d, method, cnt, err := m.optimizeAreas(ctx, n, opts)
+		d, cnt, err := m.optimizeAreas(ctx, n, opts)
 		evals += cnt
 		if err != nil {
 			return
@@ -295,7 +227,7 @@ func (m Model) OptimizeCtx(ctx context.Context, opts Options) (Result, error) {
 		if err != nil {
 			return
 		}
-		c := cand{d: d, e: e, method: method}
+		c := cand{d: d, e: e}
 		if best == nil || better(c, *best) {
 			best = &c
 		}
@@ -348,7 +280,7 @@ func (m Model) OptimizeCtx(ctx context.Context, opts Options) (Result, error) {
 		Design:      best.d,
 		Eval:        best.e,
 		Regime:      regime,
-		Method:      best.method,
+		Method:      "nelder-mead",
 		Evaluations: evals,
 	}, nil
 }

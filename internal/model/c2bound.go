@@ -40,7 +40,7 @@ type C2Bound struct {
 func NewC2Bound(m core.Model) *C2Bound { return &C2Bound{m: m} }
 
 // CoreModel returns the wrapped core.Model, for consumers that need the
-// analytic machinery only the paper's family carries (the KKT optimizer,
+// analytic machinery only the paper's family carries (the area optimizer,
 // the simulator-backed evaluator, the APS flow).
 func (m *C2Bound) CoreModel() core.Model { return m.m }
 

@@ -119,43 +119,3 @@ func sleep(ctx context.Context, d time.Duration) bool {
 		return false
 	}
 }
-
-// Budget tracks a wall-clock allowance for a long-running stage; it backs
-// the --timeout plumbing of the CLIs and the deadline accounting in sweep
-// reports.
-type Budget struct {
-	start time.Time
-	limit time.Duration
-}
-
-// StartBudget begins tracking; limit ≤ 0 means unlimited.
-func StartBudget(limit time.Duration) *Budget {
-	return &Budget{start: time.Now(), limit: limit}
-}
-
-// Elapsed returns the wall time consumed so far.
-func (b *Budget) Elapsed() time.Duration { return time.Since(b.start) }
-
-// Remaining returns the allowance left, clamped at zero once the budget
-// is exceeded. An unlimited budget reports the maximum duration.
-func (b *Budget) Remaining() time.Duration {
-	if b.limit <= 0 {
-		return time.Duration(1<<63 - 1)
-	}
-	if r := b.limit - b.Elapsed(); r > 0 {
-		return r
-	}
-	return 0
-}
-
-// Exceeded reports whether the allowance ran out.
-func (b *Budget) Exceeded() bool { return b.limit > 0 && b.Elapsed() >= b.limit }
-
-// Context derives a context that is cancelled when the budget runs out
-// (or never, for an unlimited budget).
-func (b *Budget) Context(parent context.Context) (context.Context, context.CancelFunc) {
-	if b.limit <= 0 {
-		return context.WithCancel(parent)
-	}
-	return context.WithDeadline(parent, b.start.Add(b.limit))
-}

@@ -1,7 +1,7 @@
 // Package robust provides the resilience primitives behind the
 // long-running exploration pipeline (the §IV design-space sweep and the
-// APS flow): bounded retry with exponential backoff and jitter, wall-clock
-// budget tracking, a panic-isolating evaluator wrapper, and a seeded
+// APS flow): bounded retry with exponential backoff and jitter, a
+// panic-isolating evaluator wrapper, durable file writes, and a seeded
 // fault-injection harness used to test all of the above. The package is
 // generic — it knows nothing about the design space or the simulator —
 // so every layer of the pipeline (dse, aps, sim-backed evaluators) can

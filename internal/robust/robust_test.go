@@ -216,28 +216,3 @@ func TestRNGDeterministicAndConcurrencySafe(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestBudgetAccounting(t *testing.T) {
-	b := StartBudget(time.Hour)
-	if b.Exceeded() {
-		t.Fatal("fresh hour budget already exceeded")
-	}
-	if b.Remaining() <= 0 || b.Remaining() > time.Hour {
-		t.Fatalf("Remaining = %v", b.Remaining())
-	}
-	if b.Elapsed() < 0 {
-		t.Fatalf("Elapsed = %v", b.Elapsed())
-	}
-	tiny := StartBudget(time.Nanosecond)
-	time.Sleep(time.Millisecond)
-	if !tiny.Exceeded() || tiny.Remaining() != 0 {
-		t.Fatalf("nanosecond budget not exhausted: remaining=%v", tiny.Remaining())
-	}
-	ctx, cancel := tiny.Context(context.Background())
-	defer cancel()
-	select {
-	case <-ctx.Done():
-	case <-time.After(time.Second):
-		t.Fatal("exhausted budget's context not done")
-	}
-}

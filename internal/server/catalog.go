@@ -203,7 +203,7 @@ func checkSchema(spec ModelSpec) error {
 
 // Resolve builds the C²-Bound model a spec describes: ResolveModel,
 // restricted to the c2bound family. It serves the c2bound-only call
-// sites (the KKT optimizer, the simulator evaluator).
+// sites (the area optimizer, the simulator evaluator).
 func (c *Catalog) Resolve(spec ModelSpec) (core.Model, error) {
 	m, err := c.ResolveModel(spec)
 	if err != nil {

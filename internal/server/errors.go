@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/robust"
-	"repro/internal/solve"
 )
 
 // Stable error codes of the JSON error envelope. Clients dispatch on the
@@ -37,9 +36,6 @@ const (
 	// CodeCanceled marks a request abandoned by the client before the
 	// evaluation finished.
 	CodeCanceled = "canceled"
-	// CodeConvergence marks an analytic solve that failed to converge
-	// (solve.ConvergenceError); details carry the solver diagnostics.
-	CodeConvergence = "convergence"
 	// CodeEvaluatorPanic marks an evaluation whose panic the engine
 	// isolated but could not retry into success.
 	CodeEvaluatorPanic = "evaluator_panic"
@@ -63,9 +59,8 @@ const (
 
 // ErrorBody is the payload of every non-2xx JSON response.
 type ErrorBody struct {
-	Code    string            `json:"code"`
-	Message string            `json:"message"`
-	Details map[string]string `json:"details,omitempty"`
+	Code    string `json:"code"`
+	Message string `json:"message"`
 }
 
 // errorEnvelope is the wire shape: the error object under a single
@@ -122,7 +117,6 @@ func classify(err error) (int, ErrorBody) {
 	var nf *notFoundError
 	var ue *unauthorizedError
 	var cf *conflictError
-	var ce *solve.ConvergenceError
 	var pe *robust.PanicError
 	switch {
 	case errors.As(err, &nf):
@@ -135,16 +129,6 @@ func classify(err error) (int, ErrorBody) {
 		return http.StatusBadRequest, ErrorBody{Code: CodeValidation, Message: ve.msg}
 	case errors.Is(err, core.ErrInvalidApp):
 		return http.StatusBadRequest, ErrorBody{Code: CodeValidation, Message: err.Error()}
-	case errors.As(err, &ce):
-		return http.StatusUnprocessableEntity, ErrorBody{
-			Code:    CodeConvergence,
-			Message: err.Error(),
-			Details: map[string]string{
-				"method":     ce.Method,
-				"iterations": fmt.Sprintf("%d", ce.Iterations),
-				"residual":   fmt.Sprintf("%g", ce.Residual),
-			},
-		}
 	case errors.As(err, &pe):
 		return http.StatusInternalServerError, ErrorBody{Code: CodeEvaluatorPanic, Message: err.Error()}
 	case errors.Is(err, context.DeadlineExceeded):

@@ -648,8 +648,8 @@ func (s *Server) handleAPS(w http.ResponseWriter, r *http.Request) {
 
 // apsRun is one validated APS request. The C²-Bound family carries the
 // space, evaluator and metric of the full flow (aps.RunCtx); every other
-// family has no analytic KKT phase, so its run is the exhaustive grid
-// scan of its declared space (aps.RunModelCtx), which builds its own
+// family has no analytic optimizer phase, so its run is the exhaustive
+// grid scan of its declared space (aps.RunModelCtx), which builds its own
 // evaluator.
 type apsRun struct {
 	req    *APSRequest

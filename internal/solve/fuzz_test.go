@@ -1,17 +1,16 @@
 package solve
 
 import (
-	"errors"
 	"math"
 	"testing"
 )
 
-// pathological1D builds a scalar objective from a shape selector and two
-// coefficients. The shapes cover the failure modes the solvers must survive
-// without panicking or looping forever: flat regions (zero derivative),
-// NaN-returning domains, discontinuous steps, non-differentiable kinks and
-// ill-scaled cubics.
-func pathological1D(shape uint8, a, b float64) Func {
+// pathological1D builds a scalar function from a shape selector and two
+// coefficients. The shapes cover the failure modes the minimizer must
+// survive without panicking or looping forever: flat regions (zero
+// derivative), NaN-returning domains, discontinuous steps,
+// non-differentiable kinks and ill-scaled cubics.
+func pathological1D(shape uint8, a, b float64) func(float64) float64 {
 	switch shape % 6 {
 	case 0: // constant: derivative identically zero
 		return func(float64) float64 { return a }
@@ -43,53 +42,6 @@ func pathological1D(shape uint8, a, b float64) Func {
 	}
 }
 
-// FuzzNewton1D drives the scalar Newton solver with pathological
-// objectives. The invariants: never panic, never loop past the iteration
-// budget, and every failure carries structured diagnostics that wrap
-// ErrNoConvergence.
-func FuzzNewton1D(f *testing.F) {
-	f.Add(uint8(0), 1.0, 0.0, 0.5)   // flat
-	f.Add(uint8(1), 2.0, 0.5, 0.0)   // plateau
-	f.Add(uint8(2), 1.0, 0.3, 10.0)  // NaN region, start outside it
-	f.Add(uint8(3), 0.0, 1.0, -2.0)  // step
-	f.Add(uint8(4), 0.7, 0.0, 5.0)   // |x|
-	f.Add(uint8(5), 1e-9, 1e9, 1.0)  // ill-scaled cubic
-	f.Add(uint8(5), 1.0, -2.0, 10.0) // benign cubic, converges
-	f.Fuzz(func(t *testing.T, shape uint8, a, b, x0 float64) {
-		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) ||
-			math.IsNaN(x0) || math.IsInf(x0, 0) {
-			t.Skip("non-finite seed")
-		}
-		fn := pathological1D(shape, a, b)
-		root, iters, err := Newton1D(fn, x0, 1e-10, 60)
-		if iters < 0 || iters > 60 {
-			t.Fatalf("iteration count %d outside budget", iters)
-		}
-		if err != nil {
-			if !errors.Is(err, ErrNoConvergence) {
-				t.Fatalf("failure does not wrap ErrNoConvergence: %v", err)
-			}
-			ce, ok := Diagnose(err)
-			if !ok {
-				t.Fatalf("failure without diagnostics: %v", err)
-			}
-			if ce.Method != "newton1d" || ce.Reason == "" {
-				t.Fatalf("incomplete diagnostics: %+v", ce)
-			}
-			return
-		}
-		// A reported success must be a finite point with a small residual.
-		if math.IsNaN(root) || math.IsInf(root, 0) {
-			t.Fatalf("converged to non-finite root %v", root)
-		}
-		// Newton1D accepts |f| < √tol after the budget, so √tol is the
-		// loosest residual a success may carry.
-		if r := math.Abs(fn(root)); !(r < 1e-5) && !math.IsNaN(r) {
-			t.Fatalf("claimed convergence at x=%v with residual %v", root, r)
-		}
-	})
-}
-
 // pathologicalND lifts the 1D pathologies to n dimensions by summing one
 // per coordinate.
 func pathologicalND(shape uint8, a, b float64, dim int) ObjFunc {
@@ -103,7 +55,7 @@ func pathologicalND(shape uint8, a, b float64, dim int) ObjFunc {
 	}
 }
 
-// FuzzNelderMead drives the simplex minimizer with the same pathology
+// FuzzNelderMead drives the simplex minimizer with the pathology
 // catalogue. Nelder-Mead has no failure return — the invariants are
 // termination within the iteration budget and a non-degenerate best value
 // (the minimizer must never fabricate -Inf from a NaN-returning

@@ -1,3 +1,7 @@
+// Package solve provides the numerical machinery behind the C²-Bound
+// optimization (§III-C): a Nelder-Mead simplex minimizer, which the
+// optimizer runs on the Eq. 12 constraint surface to find the area split.
+// It is dependency-free and deterministic.
 package solve
 
 import (
@@ -13,11 +17,13 @@ type NelderMeadOpts struct {
 	Scale   float64 // initial simplex edge relative to |x0|; default 0.1
 }
 
+// ObjFunc is a scalar function of a vector.
+type ObjFunc func(x []float64) float64
+
 // NelderMead minimizes obj starting from x0 using the Nelder-Mead simplex
-// method. It is the derivative-free fallback used when the KKT Newton
-// solve of the C²-Bound optimizer fails to converge (e.g. at constraint
-// boundaries where the Lagrangian is non-smooth). Returns the best point
-// and its objective value.
+// method. It needs no derivatives, so it copes with the area guard's +Inf
+// and with kinks in the objective. Returns the best point and its
+// objective value.
 func NelderMead(obj ObjFunc, x0 []float64, opts NelderMeadOpts) ([]float64, float64) {
 	n := len(x0)
 	if n == 0 {
@@ -112,37 +118,4 @@ func NelderMead(obj ObjFunc, x0 []float64, opts NelderMeadOpts) ([]float64, floa
 	}
 	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
 	return simplex[0].x, simplex[0].f
-}
-
-// GridSearch minimizes obj over the Cartesian product of the per-dimension
-// candidate values, returning the best point and value. It is the
-// brute-force reference the APS experiment compares against.
-func GridSearch(obj ObjFunc, values [][]float64) ([]float64, float64) {
-	n := len(values)
-	idx := make([]int, n)
-	point := make([]float64, n)
-	best := math.Inf(1)
-	var bestPoint []float64
-	for {
-		for j := 0; j < n; j++ {
-			point[j] = values[j][idx[j]]
-		}
-		if f := obj(point); f < best {
-			best = f
-			bestPoint = append(bestPoint[:0], point...)
-		}
-		// Odometer increment.
-		j := n - 1
-		for ; j >= 0; j-- {
-			idx[j]++
-			if idx[j] < len(values[j]) {
-				break
-			}
-			idx[j] = 0
-		}
-		if j < 0 {
-			break
-		}
-	}
-	return bestPoint, best
 }

@@ -6,28 +6,9 @@
 package speedup
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
-
-// ErrBadParam is the sentinel wrapped by the checked speedup laws when an
-// argument is NaN/Inf or outside its physical range (fseq ∉ [0,1],
-// N ≤ 0). The unchecked laws propagate whatever the arithmetic yields.
-var ErrBadParam = errors.New("speedup: invalid parameter")
-
-// ValidateArgs rejects the argument combinations that would silently
-// propagate NaN through Eq. 2/4: non-finite or out-of-range fseq, and a
-// non-positive or non-finite core count.
-func ValidateArgs(fseq, n float64) error {
-	if math.IsNaN(fseq) || fseq < 0 || fseq > 1 {
-		return fmt.Errorf("%w: fseq=%v outside [0,1]", ErrBadParam, fseq)
-	}
-	if math.IsNaN(n) || math.IsInf(n, 0) || n <= 0 {
-		return fmt.Errorf("%w: N=%v must be positive and finite", ErrBadParam, n)
-	}
-	return nil
-}
 
 // ScaleFunc is the problem-size scale function g(N) of Sun-Ni's law: the
 // factor by which the problem size grows when the memory capacity grows N
@@ -102,27 +83,9 @@ func Amdahl(fseq float64, N float64) float64 {
 	return 1 / (fseq + (1-fseq)/N)
 }
 
-// AmdahlChecked is Amdahl with argument validation: it returns a wrapped
-// ErrBadParam instead of propagating NaN for out-of-range inputs.
-func AmdahlChecked(fseq, N float64) (float64, error) {
-	if err := ValidateArgs(fseq, N); err != nil {
-		return math.NaN(), err
-	}
-	return Amdahl(fseq, N), nil
-}
-
 // Gustafson returns the scaled speedup fseq + (1−fseq)·N.
 func Gustafson(fseq float64, N float64) float64 {
 	return fseq + (1-fseq)*N
-}
-
-// GustafsonChecked is Gustafson with argument validation (see
-// AmdahlChecked).
-func GustafsonChecked(fseq, N float64) (float64, error) {
-	if err := ValidateArgs(fseq, N); err != nil {
-		return math.NaN(), err
-	}
-	return Gustafson(fseq, N), nil
 }
 
 // SunNi returns the memory-bounded speedup of Eq. 4:
@@ -134,23 +97,6 @@ func GustafsonChecked(fseq, N float64) (float64, error) {
 func SunNi(fseq float64, g ScaleFunc, N float64) float64 {
 	gn := g(N)
 	return (fseq + (1-fseq)*gn) / (fseq + (1-fseq)*gn/N)
-}
-
-// SunNiChecked is SunNi with argument validation: besides the fseq/N
-// range checks it rejects a nil scale function and a g(N) that is not
-// finite and positive, so Eq. 4 never silently returns NaN.
-func SunNiChecked(fseq float64, g ScaleFunc, N float64) (float64, error) {
-	if err := ValidateArgs(fseq, N); err != nil {
-		return math.NaN(), err
-	}
-	if g == nil {
-		return math.NaN(), fmt.Errorf("%w: scale function g(N) is nil", ErrBadParam)
-	}
-	gn := g(N)
-	if math.IsNaN(gn) || math.IsInf(gn, 0) || gn <= 0 {
-		return math.NaN(), fmt.Errorf("%w: g(%v)=%v must be positive and finite", ErrBadParam, N, gn)
-	}
-	return SunNi(fseq, g, N), nil
 }
 
 // GrowthOrder classifies a scale function against O(N), the regime
@@ -176,10 +122,4 @@ func GrowthOrder(g ScaleFunc, refN float64) float64 {
 		return 0
 	}
 	return order
-}
-
-// Superlinear reports whether g grows at least linearly (g(N) ≥ O(N)) at
-// the reference scale, with a small tolerance for numerical derivation.
-func Superlinear(g ScaleFunc, refN float64) bool {
-	return GrowthOrder(g, refN) >= 1-1e-6
 }
