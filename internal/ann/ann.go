@@ -228,16 +228,3 @@ func (n *Network) Predict(x []float64) (float64, error) {
 	out := n.forward(normed, hidden)
 	return (out+1)/2*(n.outMax-n.outMin) + n.outMin, nil
 }
-
-// PredictAll evaluates many points, reusing buffers.
-func (n *Network) PredictAll(X [][]float64) ([]float64, error) {
-	out := make([]float64, len(X))
-	for i, x := range X {
-		v, err := n.Predict(x)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}

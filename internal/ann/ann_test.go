@@ -50,6 +50,20 @@ func TestTrainValidation(t *testing.T) {
 	}
 }
 
+// predictAll evaluates n at every row of X.
+func predictAll(t *testing.T, n *Network, X [][]float64) []float64 {
+	t.Helper()
+	pred := make([]float64, len(X))
+	for i, x := range X {
+		v, err := n.Predict(x)
+		if err != nil {
+			t.Fatalf("Predict(%v): %v", x, err)
+		}
+		pred[i] = v
+	}
+	return pred
+}
+
 func TestLearnsLinearFunction(t *testing.T) {
 	X := grid2D(8)
 	y := make([]float64, len(X))
@@ -63,10 +77,7 @@ func TestLearnsLinearFunction(t *testing.T) {
 	if err := n.Train(X, y); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	pred, err := n.PredictAll(X)
-	if err != nil {
-		t.Fatalf("PredictAll: %v", err)
-	}
+	pred := predictAll(t, n, X)
 	var maxErr float64
 	for i := range pred {
 		if e := math.Abs(pred[i] - y[i]); e > maxErr {
@@ -94,10 +105,7 @@ func TestLearnsSmoothNonlinearSurface(t *testing.T) {
 	if err := n.Train(X, y); err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	pred, err := n.PredictAll(X)
-	if err != nil {
-		t.Fatalf("PredictAll: %v", err)
-	}
+	pred := predictAll(t, n, X)
 	mape, err := stats.MAPE(pred, y)
 	if err != nil {
 		t.Fatalf("MAPE: %v", err)
@@ -154,8 +162,5 @@ func TestPredictFeatureMismatch(t *testing.T) {
 	}
 	if _, err := n.Predict([]float64{1}); err == nil {
 		t.Fatal("feature mismatch accepted")
-	}
-	if _, err := n.PredictAll([][]float64{{1}}); err == nil {
-		t.Fatal("PredictAll mismatch accepted")
 	}
 }

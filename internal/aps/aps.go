@@ -43,10 +43,11 @@ type Options struct {
 	// simulated slice route through it, so an APS run following a
 	// ground-truth sweep on the same engine reuses every overlapping
 	// simulation from the cache (Fig. 6's neighborhoods overlap prior
-	// sweeps by construction). Nil builds a private engine for this run.
-	// The analytic optimizer evaluates directly: its probes are keyed by
-	// a fingerprint no other flow shares, so memoizing them would only
-	// fill the cache.
+	// sweeps by construction). Nil builds a private engine for this run,
+	// counting in a registry of its own rather than the context's, so
+	// Result.Engine is this run's traffic alone. The analytic optimizer
+	// evaluates directly: its probes are keyed by a fingerprint no other
+	// flow shares, so memoizing them would only fill the cache.
 	Engine *engine.Engine
 	// Radius widens the simulated neighborhood around the analytic
 	// solution in the A0/A1/A2/N dimensions; 0 reproduces the paper's
@@ -88,23 +89,17 @@ type Result struct {
 	Report dse.SweepReport
 	// Engine is the engine's counter delta across this run: raw
 	// evaluations, cache hits, retries, panics and evaluator wall time.
-	// (On a shared engine with concurrent users the delta includes their
-	// traffic too.)
+	// (On a shared engine, or one whose registry other engines count in,
+	// the delta includes their concurrent traffic too.)
 	Engine engine.Stats
 }
 
-// Run executes APS for the model over the given space using eval as the
-// simulator. The space must carry the six paper dimensions (dse.DimA0 …
-// dse.DimROB).
-func Run(m core.Model, space dse.Space, eval dse.Evaluator, opts Options) (Result, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over RunCtx
-	return RunCtx(context.Background(), m, space, dse.WithContext(eval), opts)
-}
-
-// RunCtx executes APS with cancellation and resilience: the context's
-// cancellation or deadline propagates into the analytic grid scan and
-// every simulator invocation, failing evaluations are retried per
-// opts.Sweep.Retry, and the simulated phase can checkpoint and resume.
+// RunCtx executes APS for the model over the given space using eval as
+// the simulator. The space must carry the six paper dimensions
+// (dse.DimA0 … dse.DimROB). The context's cancellation or deadline
+// propagates into the analytic grid scan and every simulator
+// invocation, failing evaluations are retried per opts.Sweep.Retry,
+// and the simulated phase can checkpoint and resume.
 func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEvaluator, opts Options) (Result, error) {
 	dims := make(map[string]int, 6)
 	for _, name := range []string{dse.DimA0, dse.DimA1, dse.DimA2, dse.DimN, dse.DimIssue, dse.DimROB} {
@@ -196,9 +191,10 @@ type runState struct {
 }
 
 // startRun picks the run's engine — the shared one, or a private one
-// for this run that inherits ctx's observability and the sweep's retry
-// policy — and defaults the sweep options: Workers falls back to the
-// run's worker bound and the sweep rides the run's engine.
+// for this run that inherits ctx's tracer and the sweep's retry policy
+// and counts in a registry of its own, so its Stats are this run's
+// traffic alone — and defaults the sweep options: Workers falls back to
+// the run's worker bound and the sweep rides the run's engine.
 func startRun(ctx context.Context, shared *engine.Engine, workers int, sweep dse.SweepOptions) runState {
 	eng := shared
 	if eng == nil {
@@ -206,7 +202,6 @@ func startRun(ctx context.Context, shared *engine.Engine, workers int, sweep dse
 			Workers: workers,
 			Retry:   sweep.Retry,
 			Tracer:  obs.TracerFrom(ctx),
-			Metrics: obs.MetricsFrom(ctx),
 		})
 	}
 	if sweep.Workers == 0 {

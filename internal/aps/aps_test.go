@@ -24,9 +24,9 @@ func testSetup(t *testing.T, per int) (core.Model, dse.Space, dse.Evaluator) {
 
 func TestRunBasic(t *testing.T) {
 	m, space, eval := testSetup(t, 4)
-	res, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	res, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
 	if res.Simulations <= 0 {
 		t.Fatal("no simulations recorded")
@@ -45,7 +45,7 @@ func TestRunBasic(t *testing.T) {
 		t.Fatalf("best point dims = %d", len(res.BestPoint))
 	}
 	// The snapped coordinates must be feasible.
-	p := space.PointAt(res.Snapped)
+	p := space.Point(space.Index(res.Snapped))
 	d := chip.Design{N: int(p[3] + 0.5), CoreArea: p[0], L1Area: p[1], L2Area: p[2]}
 	if err := m.Chip.CheckFeasible(d); err != nil {
 		t.Fatalf("snapped point infeasible: %v", err)
@@ -57,9 +57,9 @@ func TestRunNarrowsSpace(t *testing.T) {
 	// magnitude (10⁶ → ~10²). On the reduced space the same ratio is
 	// size/per⁴.
 	m, space, eval := testSetup(t, 4)
-	res, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	res, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
 	reduction := float64(res.SpaceSize) / float64(res.Simulations)
 	if reduction < 100 {
@@ -72,9 +72,9 @@ func TestRunCloseToGroundTruth(t *testing.T) {
 	// modest factor of the global optimum of the full sweep.
 	m, space, eval := testSetup(t, 3)
 	truth := dse.Sweep(context.Background(), eval, space, 0)
-	res, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	res, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
 	relErr, err := RelativeError(res.BestValue, truth)
 	if err != nil {
@@ -125,13 +125,13 @@ func TestRunCtxMatchesGolden(t *testing.T) {
 
 func TestRunWithRadius(t *testing.T) {
 	m, space, eval := testSetup(t, 3)
-	res0, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	res0, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunCtx: %v", err)
 	}
-	res1, err := Run(m, space, eval, Options{Radius: 1, Optimize: core.Options{MaxN: 64}})
+	res1, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Radius: 1, Optimize: core.Options{MaxN: 64}})
 	if err != nil {
-		t.Fatalf("Run radius=1: %v", err)
+		t.Fatalf("RunCtx radius=1: %v", err)
 	}
 	if res1.Simulations <= res0.Simulations {
 		t.Fatalf("radius did not widen the slice: %d vs %d", res1.Simulations, res0.Simulations)
@@ -147,7 +147,7 @@ func TestRunRejectsWrongSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(m, bad, eval, Options{}); err == nil {
+	if _, err := RunCtx(context.Background(), m, bad, dse.WithContext(eval), Options{}); err == nil {
 		t.Fatal("space without paper dims accepted")
 	}
 }
@@ -211,7 +211,7 @@ func TestANNNeedsMoreSimsThanAPS(t *testing.T) {
 	// simulation count is below the ANN baseline's at matched error.
 	m, space, eval := testSetup(t, 3)
 	truth := dse.Sweep(context.Background(), eval, space, 0)
-	apsRes, err := Run(m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
+	apsRes, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("APS: %v", err)
 	}

@@ -31,20 +31,14 @@ type CharacterizeOptions struct {
 	GOrder float64
 }
 
-// Characterize measures an application profile on the simulated machine,
-// exactly as the paper's tool chain does with the Fig. 4 detector: one
-// probe run collects fmem, C_H, C_M, pMR/MR and pAMP/AMP from the C-AMAT
-// analyzer, and two further runs at different cache capacities fit the
-// miss-rate-versus-capacity power law for each level.
-func Characterize(opts CharacterizeOptions) (core.App, error) {
-	//lint:allow ctxflow deliberate non-ctx convenience wrapper over CharacterizeCtx
-	return CharacterizeCtx(context.Background(), opts)
-}
-
-// CharacterizeCtx is Characterize with cancellation and observability:
-// the context's deadline propagates into each probe simulation, and a
-// context-carried tracer records an aps.characterize span with one
-// aps.probe child per measurement run.
+// CharacterizeCtx measures an application profile on the simulated
+// machine, exactly as the paper's tool chain does with the Fig. 4
+// detector: one probe run collects fmem, C_H, C_M, pMR/MR and pAMP/AMP
+// from the C-AMAT analyzer, and two further runs at different cache
+// capacities fit the miss-rate-versus-capacity power law for each
+// level. The context's deadline propagates into each probe simulation,
+// and a context-carried tracer records an aps.characterize span with
+// one aps.probe child per measurement run.
 func CharacterizeCtx(ctx context.Context, opts CharacterizeOptions) (core.App, error) {
 	if opts.Workload == "" {
 		return core.App{}, fmt.Errorf("aps: characterize needs a workload")

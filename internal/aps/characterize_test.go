@@ -1,6 +1,7 @@
 package aps
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/chip"
@@ -14,11 +15,11 @@ func testModelWithApp(app core.App) core.Model {
 func optimizeOpts() core.Options { return core.Options{MaxN: 64} }
 
 func TestCharacterizeFluidanimate(t *testing.T) {
-	app, err := Characterize(CharacterizeOptions{
+	app, err := CharacterizeCtx(context.Background(), CharacterizeOptions{
 		Workload: "fluidanimate", WSBytes: 4 << 20, Refs: 8000, Seed: 3,
 	})
 	if err != nil {
-		t.Fatalf("Characterize: %v", err)
+		t.Fatalf("CharacterizeCtx: %v", err)
 	}
 	if err := app.Validate(); err != nil {
 		t.Fatalf("profile invalid: %v", err)
@@ -41,16 +42,16 @@ func TestCharacterizeFluidanimate(t *testing.T) {
 }
 
 func TestCharacterizeDefaultsAndErrors(t *testing.T) {
-	if _, err := Characterize(CharacterizeOptions{}); err == nil {
+	if _, err := CharacterizeCtx(context.Background(), CharacterizeOptions{}); err == nil {
 		t.Fatal("missing workload accepted")
 	}
-	if _, err := Characterize(CharacterizeOptions{Workload: "nope"}); err == nil {
+	if _, err := CharacterizeCtx(context.Background(), CharacterizeOptions{Workload: "nope"}); err == nil {
 		t.Fatal("unknown workload accepted")
 	}
 	// Defaults fill: tiny refs still work.
-	app, err := Characterize(CharacterizeOptions{Workload: "stencil", Refs: 2000, WSBytes: 1 << 20})
+	app, err := CharacterizeCtx(context.Background(), CharacterizeOptions{Workload: "stencil", Refs: 2000, WSBytes: 1 << 20})
 	if err != nil {
-		t.Fatalf("Characterize stencil: %v", err)
+		t.Fatalf("CharacterizeCtx stencil: %v", err)
 	}
 	if app.Fseq != 0.05 {
 		t.Fatalf("default fseq = %v", app.Fseq)
@@ -61,11 +62,11 @@ func TestCharacterizeDefaultsAndErrors(t *testing.T) {
 }
 
 func TestCharacterizeGOrderOverride(t *testing.T) {
-	app, err := Characterize(CharacterizeOptions{
+	app, err := CharacterizeCtx(context.Background(), CharacterizeOptions{
 		Workload: "stream", Refs: 2000, WSBytes: 1 << 20, GOrder: 0.7, Fseq: 0.2,
 	})
 	if err != nil {
-		t.Fatalf("Characterize: %v", err)
+		t.Fatalf("CharacterizeCtx: %v", err)
 	}
 	if app.GOrder != 0.7 || app.Fseq != 0.2 {
 		t.Fatalf("overrides not applied: %v %v", app.GOrder, app.Fseq)
@@ -75,11 +76,11 @@ func TestCharacterizeGOrderOverride(t *testing.T) {
 func TestCharacterizedProfileDrivesOptimization(t *testing.T) {
 	// End-to-end: the measured profile must be directly usable by the
 	// C²-Bound optimizer.
-	app, err := Characterize(CharacterizeOptions{
+	app, err := CharacterizeCtx(context.Background(), CharacterizeOptions{
 		Workload: "tiledmm", WSBytes: 2 << 20, Refs: 6000, Seed: 5,
 	})
 	if err != nil {
-		t.Fatalf("Characterize: %v", err)
+		t.Fatalf("CharacterizeCtx: %v", err)
 	}
 	m := testModelWithApp(app)
 	res, err := m.Optimize(optimizeOpts())

@@ -3,12 +3,14 @@ package aps
 import (
 	"context"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/dse"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // TestWarmEngineReusesSweepResults is the acceptance criterion of the
@@ -92,5 +94,75 @@ func TestOptimizerProbesBypassRunEngine(t *testing.T) {
 	if res.Engine.Requests >= uint64(res.Analytic.Evaluations) {
 		t.Fatalf("%d engine requests for %d optimizer probes: the probes went through the run's engine",
 			res.Engine.Requests, res.Analytic.Evaluations)
+	}
+}
+
+// noisyEvaluator is a plain fingerprinted evaluator (no batch kernel,
+// so the engine calls EvaluateCtx per point) that runs noise once, on
+// its first call.
+type noisyEvaluator struct {
+	inner *dse.FamilyEvaluator
+	once  sync.Once
+	noise func(ctx context.Context)
+}
+
+func (n *noisyEvaluator) EvaluateCtx(ctx context.Context, p []float64) (float64, error) {
+	n.once.Do(func() { n.noise(ctx) })
+	return n.inner.EvaluateCtx(ctx, p)
+}
+
+func (n *noisyEvaluator) Fingerprint() string { return n.inner.Fingerprint() }
+
+// TestPrivateEngineCountsOnlyItsRun pins the isolation of the engine
+// RunCtx builds when Options.Engine is nil: a second engine counting
+// in the context's registry while the run is live must not show up in
+// Result.Engine.
+func TestPrivateEngineCountsOnlyItsRun(t *testing.T) {
+	m, space, _ := testSetup(t, 3)
+	fam := dse.NewFamilyEvaluator(model.NewC2Bound(m))
+	all := make([][]float64, space.Size())
+	for i := range all {
+		all[i] = space.Point(i)
+	}
+	run := func(noisy bool) engine.Stats {
+		reg := obs.NewRegistry()
+		ev := &noisyEvaluator{inner: fam, noise: func(context.Context) {}}
+		if noisy {
+			// A cold and a warm pass over the whole space on an engine
+			// built on the run's registry.
+			ev.noise = func(ctx context.Context) {
+				other := engine.New(engine.Options{Metrics: reg})
+				out := make([]float64, len(all))
+				for pass := 0; pass < 2; pass++ {
+					if err := other.EvaluateBatch(ctx, fam, all, out); err != nil {
+						t.Errorf("noise pass %d: %v", pass, err)
+					}
+				}
+			}
+		}
+		ctx := obs.ContextWithMetrics(context.Background(), reg)
+		res, err := RunCtx(ctx, m, space, ev, Options{Optimize: core.Options{MaxN: 64}})
+		if err != nil {
+			t.Fatalf("RunCtx (noisy=%v): %v", noisy, err)
+		}
+		if got := reg.Counter("engine_requests_total").Value(); noisy && got < uint64(2*len(all)) {
+			t.Fatalf("registry saw %d engine requests, want the noise's %d at least", got, 2*len(all))
+		}
+		return res.Engine
+	}
+	quiet, noisy := run(false), run(true)
+	for _, c := range []struct {
+		name       string
+		got, quiet uint64
+	}{
+		{"requests", noisy.Requests, quiet.Requests},
+		{"evaluations", noisy.Evaluations, quiet.Evaluations},
+		{"cache hits", noisy.CacheHits, quiet.CacheHits},
+		{"cache misses", noisy.CacheMisses, quiet.CacheMisses},
+		{"dedups", noisy.Dedups, quiet.Dedups},
+	} {
+		if c.got != c.quiet {
+			t.Errorf("%s: %d with another engine's traffic in the registry, %d without", c.name, c.got, c.quiet)
+		}
 	}
 }

@@ -16,9 +16,9 @@ import (
 
 // TestEngineMetricsBitExact runs APS twice on one instrumented engine (a
 // cold pass and a warm, cache-served pass) and demands that every engine
-// counter mirrored into the metrics registry equals the corresponding
-// engine.Stats field exactly — the dual-increment sites must never
-// drift.
+// counter in the metrics registry equals the corresponding engine.Stats
+// field exactly — Stats must read the registry's instruments and
+// nothing else.
 func TestEngineMetricsBitExact(t *testing.T) {
 	m := core.Model{Chip: chip.DefaultConfig(), App: core.FluidanimateApp()}
 	space, err := dse.ReducedSpace(m.Chip, 3)

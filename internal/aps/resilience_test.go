@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,14 +14,17 @@ import (
 	"repro/internal/robust"
 )
 
+// TestRunCtxMatchesRun checks that a plain evaluator lifted by
+// dse.WithContext and the same evaluator run natively (ctx-aware and
+// batched) reach the same optimum with the same simulation count.
 func TestRunCtxMatchesRun(t *testing.T) {
 	m, space, eval := testSetup(t, 4)
 	opts := Options{Optimize: core.Options{MaxN: 64}}
-	plain, err := Run(m, space, eval, opts)
+	plain, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), opts)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("RunCtx (plain evaluator): %v", err)
 	}
-	ctxRes, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), opts)
+	ctxRes, err := RunCtx(context.Background(), m, space, eval.(dse.CtxEvaluator), opts)
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)
 	}
@@ -77,10 +81,9 @@ func TestRunCtxCancelMidSweepReturnsPartialReport(t *testing.T) {
 	m, space, _ := testSetup(t, 4)
 	ctx, cancel := context.WithCancel(context.Background())
 	inner := dse.NewFamilyEvaluator(model.NewC2Bound(m))
-	calls := 0
+	var calls atomic.Int64 // the run's engine calls eval from several workers
 	eval := robust.EvaluatorFunc(func(c context.Context, p []float64) (float64, error) {
-		calls++
-		if calls > 4 {
+		if calls.Add(1) > 4 {
 			cancel()
 		}
 		return inner.EvaluateCtx(c, p)

@@ -11,6 +11,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"repro/internal/obs"
@@ -55,11 +56,16 @@ func FormatBits(v float64) string {
 	return fmt.Sprintf("%016x", math.Float64bits(v))
 }
 
-// ParseBits decodes a peer wire value.
+// ParseBits decodes a peer wire value. It accepts only what FormatBits
+// writes, 16 lowercase hex digits, so a truncated or padded value is an
+// error rather than a different float.
 func ParseBits(s string) (float64, error) {
 	bits, err := strconv.ParseUint(s, 16, 64)
 	if err != nil {
 		return 0, fmt.Errorf("cluster: value bits %q: %w", s, err)
+	}
+	if len(s) != 16 || strings.ToLower(s) != s {
+		return 0, fmt.Errorf("cluster: value bits %q: want 16 lowercase hex digits", s)
 	}
 	return math.Float64frombits(bits), nil
 }

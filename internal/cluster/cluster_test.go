@@ -268,8 +268,12 @@ func TestPeerWireBits(t *testing.T) {
 			t.Fatalf("bits round trip lost %v", v)
 		}
 	}
-	if _, err := ParseBits("nope"); err == nil {
-		t.Fatal("garbage bits: want error")
+	// Only FormatBits's own spelling decodes: no short, long or
+	// upper-case variant of a bit pattern.
+	for _, s := range []string{"nope", "1", "3ff", "00000000000000001", "3FF0000000000000"} {
+		if v, err := ParseBits(s); err == nil {
+			t.Errorf("garbage bits %q decoded to %v, want error", s, v)
+		}
 	}
 }
 

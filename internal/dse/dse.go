@@ -110,62 +110,6 @@ func (s Space) AppendPoint(dst []float64, idx int) []float64 {
 	return dst
 }
 
-// PointAt returns the values for explicit coordinates.
-func (s Space) PointAt(coords []int) []float64 {
-	point := make([]float64, len(coords))
-	for d, c := range coords {
-		point[d] = s.Params[d].Values[c]
-	}
-	return point
-}
-
-// Nearest returns the value index in dimension dim closest to v.
-func (s Space) Nearest(dim int, v float64) int {
-	best := 0
-	bestD := math.Inf(1)
-	for i, val := range s.Params[dim].Values {
-		if d := math.Abs(val - v); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
-}
-
-// SliceIndices returns the flat indices of every configuration whose
-// coordinates match `fixed` (a map from dimension to value index); the
-// remaining dimensions enumerate freely.
-func (s Space) SliceIndices(fixed map[int]int) []int {
-	free := []int{}
-	for d := range s.Params {
-		if _, ok := fixed[d]; !ok {
-			free = append(free, d)
-		}
-	}
-	count := 1
-	for _, d := range free {
-		count *= len(s.Params[d].Values)
-	}
-	coords := make([]int, s.Dims())
-	for d, c := range fixed {
-		coords[d] = c
-	}
-	out := make([]int, 0, count)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(free) {
-			out = append(out, s.Index(coords))
-			return
-		}
-		d := free[k]
-		for c := 0; c < len(s.Params[d].Values); c++ {
-			coords[d] = c
-			rec(k + 1)
-		}
-	}
-	rec(0)
-	return out
-}
-
 // Neighborhood returns the flat indices obtained by varying the listed
 // dimensions within ±radius grid steps of center (clipped at the edges)
 // while holding all other dimensions at the center coordinates. The

@@ -61,7 +61,7 @@ func TestPaperGridAllFeasible(t *testing.T) {
 	for _, prm := range s.Params {
 		worst = append(worst, len(prm.Values)-1)
 	}
-	p := s.PointAt(worst)
+	p := s.Point(s.Index(worst))
 	d := chip.Design{N: int(p[3] + 0.5), CoreArea: p[0], L1Area: p[1], L2Area: p[2]}
 	if err := cfg.CheckFeasible(d); err != nil {
 		t.Fatalf("max corner infeasible: %v", err)
@@ -81,27 +81,10 @@ func TestIndexCoordsRoundTrip(t *testing.T) {
 func TestPointMatchesPointAt(t *testing.T) {
 	s := paperSpace(t)
 	idx := 424242
-	p1 := s.Point(idx)
-	p2 := s.PointAt(s.Coords(idx))
-	for i := range p1 {
-		if p1[i] != p2[i] {
-			t.Fatalf("Point mismatch at dim %d", i)
-		}
-	}
-}
-
-func TestNearest(t *testing.T) {
-	s, err := NewSpace(Param{Name: "x", Values: []float64{1, 2, 4, 8}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		v    float64
-		want int
-	}{{0, 0}, {1.4, 0}, {1.6, 1}, {3.5, 2}, {100, 3}}
-	for _, c := range cases {
-		if got := s.Nearest(0, c.v); got != c.want {
-			t.Errorf("Nearest(%v) = %d, want %d", c.v, got, c.want)
+	p := s.Point(idx)
+	for d, c := range s.Coords(idx) {
+		if p[d] != s.Params[d].Values[c] {
+			t.Fatalf("Point mismatch at dim %d", d)
 		}
 	}
 }
@@ -116,24 +99,6 @@ func TestDimIndex(t *testing.T) {
 	}
 	if _, err := s.DimIndex("nope"); err == nil {
 		t.Error("unknown dim accepted")
-	}
-}
-
-func TestSliceIndices(t *testing.T) {
-	s, _ := NewSpace(
-		Param{Name: "a", Values: []float64{0, 1}},
-		Param{Name: "b", Values: []float64{0, 1, 2}},
-		Param{Name: "c", Values: []float64{0, 1}},
-	)
-	slice := s.SliceIndices(map[int]int{0: 1, 2: 0})
-	if len(slice) != 3 {
-		t.Fatalf("slice size = %d, want 3", len(slice))
-	}
-	for _, idx := range slice {
-		coords := s.Coords(idx)
-		if coords[0] != 1 || coords[2] != 0 {
-			t.Fatalf("slice member %v violates fixed dims", coords)
-		}
 	}
 }
 

@@ -226,14 +226,14 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	if eng == nil {
 		// Ephemeral engine for this sweep only: same pool/guard/retry
 		// machinery, but no memoization (indices within one sweep are
-		// unique, so a private cache could never hit).
+		// unique, so a private cache could never hit) and a registry of
+		// its own.
 		eng = engine.New(engine.Options{
 			Workers:   opts.Workers,
 			CacheSize: -1,
 			Retry:     opts.Retry,
 			Seed:      0x5eed ^ uint64(len(indices)),
 			Tracer:    tr,
-			Metrics:   met,
 		})
 	}
 

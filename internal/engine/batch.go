@@ -76,8 +76,8 @@ func chunkSize(n, workers int) int {
 // computeChunk is computeInner for a chunk's misses: one guarded,
 // retried EvaluateBatch call over pts[i] for every i in miss, writing
 // outs[i]. It is metered like computeInner: evaluations and failures
-// counted per point, wall time and the eval-seconds histogram observed
-// once per batch call, retries counted per extra attempt.
+// counted per point, the batch call's wall time observed once in the
+// eval-seconds histogram, retries counted per extra attempt.
 func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]float64, miss []int, outs []Outcome) {
 	batch := make([][]float64, len(miss))
 	for j, i := range miss {
@@ -86,20 +86,17 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 	vals := make([]float64, len(miss))
 	ctx, sp := e.tracer.Start(ctx, "engine.eval")
 	e.obs.inflight.Add(1)
-	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency counters/histogram only, never the evaluated values
+	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency histogram only, never the evaluated values
 	attempts, err := e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
-		e.counters.evaluations.Add(uint64(len(batch)))
 		e.obs.evaluations.Add(uint64(len(batch)))
 		err2 := guardedBatch(ctx, be, batch, vals)
 		var pe *robust.PanicError
 		if errors.As(err2, &pe) {
-			e.counters.panics.Add(1)
 			e.obs.panics.Add(1)
 		}
 		return err2
 	})
-	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency counters/histogram only, never the evaluated values
-	e.counters.wallNanos.Add(uint64(elapsed))
+	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency histogram only, never the evaluated values
 	// One histogram observation per raw evaluation (the amortized
 	// per-point latency), so the eval-seconds count tracks the
 	// evaluations counter exactly as computeInner's does.
@@ -108,11 +105,9 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 		e.obs.evalSeconds.ObserveN(elapsed.Seconds()/float64(evals), evals)
 	}
 	if attempts > 1 {
-		e.counters.retries.Add(uint64(attempts - 1))
 		e.obs.retries.Add(uint64(attempts - 1))
 	}
 	if err != nil && !isContextErr(err) {
-		e.counters.failures.Add(uint64(len(batch)))
 		e.obs.failures.Add(uint64(len(batch)))
 	}
 	e.obs.inflight.Add(-1)

@@ -18,9 +18,9 @@
 //   - the resilience machinery of package robust (panic isolation and
 //     retry with exponential backoff), applied uniformly so no caller has
 //     to wire it separately,
-//   - and counters (requests, raw evaluations, cache hits, panics,
-//     retries, failures, evaluator wall time) exposed as a Stats
-//     snapshot.
+//   - and its metric instruments (requests, raw evaluations, cache
+//     hits, panics, retries, failures, evaluator wall time) in one
+//     obs.Registry, read back as a Stats snapshot.
 //
 // Caching requires a fingerprint: an evaluator that implements
 // Fingerprinter (or an engine.Func with an explicit FP) is memoized;
@@ -99,11 +99,12 @@ type Options struct {
 	// Tracer records an engine.eval span per raw computation (nil:
 	// tracing disabled at a single branch's cost).
 	Tracer *obs.Tracer
-	// Metrics mirrors the engine's private counters into a shared
-	// registry (engine_*_total, engine_inflight, engine_eval_seconds).
+	// Metrics is the registry the engine counts in (engine_*_total,
+	// engine_inflight, engine_eval_seconds), and Stats reads them back.
 	// The instruments are resolved once here at construction, so the
 	// evaluation hot path never performs a registry or context lookup.
-	// Nil disables the mirror.
+	// Engines built on one registry share their counts. Nil gives the
+	// engine a registry of its own.
 	Metrics *obs.Registry
 	// Gate, when non-nil, schedules EvaluateStream chunks: each chunk
 	// acquires a gate slot (in addition to the engine's own worker
@@ -163,16 +164,14 @@ type Engine struct {
 	inflight map[uint64]*call
 	fps      map[string]uint32 // fingerprint → interned ID for exact key checks
 
-	counters counters
-
 	tracer *obs.Tracer
 	obs    instruments
 }
 
-// instruments are the engine's pre-resolved observability handles. They
-// mirror the private counters one-for-one at the exact same increment
-// sites, so a metrics snapshot and Stats always agree bit-for-bit. Every
-// field is a valid no-op when nil (disabled registry).
+// instruments are the engine's pre-resolved registry handles: every
+// counted event is one update of one of them, and Stats reads them
+// back, so a metrics snapshot and Stats agree bit-for-bit. They are
+// never nil.
 type instruments struct {
 	requests    *obs.Counter
 	evaluations *obs.Counter
@@ -187,9 +186,12 @@ type instruments struct {
 	evalSeconds *obs.Histogram
 }
 
-// newInstruments resolves the engine's instruments from r (all nil for a
-// nil registry).
+// newInstruments resolves the engine's instruments from r, or from a
+// fresh registry when r is nil.
 func newInstruments(r *obs.Registry) instruments {
+	if r == nil {
+		r = obs.NewRegistry()
+	}
 	return instruments{
 		requests:    r.Counter("engine_requests_total"),
 		evaluations: r.Counter("engine_evaluations_total"),
@@ -295,7 +297,6 @@ type deferral struct {
 // doChunk is the engine's one classify → compute → publish path: it
 // counts the chunk's requests and resolves outs[i] for every pts[i].
 func (e *Engine) doChunk(ctx context.Context, ev robust.Evaluator, k memoKey, pts [][]float64, outs []Outcome) {
-	e.counters.requests.Add(uint64(len(pts)))
 	e.obs.requests.Add(uint64(len(pts)))
 	e.resolve(ctx, ev, k, pts, outs)
 }
@@ -361,11 +362,9 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 		}
 		e.mu.Unlock()
 		if hits > 0 {
-			e.counters.cacheHits.Add(hits)
 			e.obs.cacheHits.Add(hits)
 		}
 		if len(miss) > 0 {
-			e.counters.cacheMisses.Add(uint64(len(miss)))
 			e.obs.cacheMisses.Add(uint64(len(miss)))
 		}
 	}
@@ -409,7 +408,6 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 		e.mu.Unlock()
 		close(done)
 		if evicted > 0 {
-			e.counters.evictions.Add(evicted)
 			e.obs.evictions.Add(evicted)
 		}
 	}
@@ -429,14 +427,13 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 			e.resolve(ctx, ev, k, pts[d.i:d.i+1], outs[d.i:d.i+1])
 			continue
 		}
-		e.counters.dedups.Add(1)
 		e.obs.dedups.Add(1)
 		outs[d.i] = Outcome{Value: d.c.out.Value, Shared: true, Err: d.c.out.Err}
 	}
 }
 
 // compute wraps computeInner in the engine.eval span and the inflight
-// gauge; the wrapper costs two branches when observability is off.
+// gauge; the span costs two nil checks when tracing is off.
 func (e *Engine) compute(ctx context.Context, ev robust.Evaluator, point []float64) Outcome {
 	ctx, sp := e.tracer.Start(ctx, "engine.eval")
 	e.obs.inflight.Add(1)
@@ -456,29 +453,24 @@ func (e *Engine) compute(ctx context.Context, ev robust.Evaluator, point []float
 func (e *Engine) computeInner(ctx context.Context, ev robust.Evaluator, point []float64) Outcome {
 	guarded := robust.Guard(ev)
 	var v float64
-	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency counters/histogram only, never the evaluated value
+	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency histogram only, never the evaluated value
 	attempts, err := e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
-		e.counters.evaluations.Add(1)
 		e.obs.evaluations.Add(1)
 		var err2 error
 		v, err2 = guarded.EvaluateCtx(ctx, point)
 		var pe *robust.PanicError
 		if errors.As(err2, &pe) {
-			e.counters.panics.Add(1)
 			e.obs.panics.Add(1)
 		}
 		return err2
 	})
-	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency counters/histogram only, never the evaluated value
-	e.counters.wallNanos.Add(uint64(elapsed))
+	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency histogram only, never the evaluated value
 	e.obs.evalSeconds.Observe(elapsed.Seconds())
 	if attempts > 1 {
-		e.counters.retries.Add(uint64(attempts - 1))
 		e.obs.retries.Add(uint64(attempts - 1))
 	}
 	if err != nil {
 		if !isContextErr(err) {
-			e.counters.failures.Add(1)
 			e.obs.failures.Add(1)
 		}
 		return Outcome{Value: math.NaN(), Attempts: attempts, Err: err}

@@ -2,27 +2,14 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// counters are the engine's live atomics.
-type counters struct {
-	requests    atomic.Uint64
-	evaluations atomic.Uint64
-	cacheHits   atomic.Uint64
-	cacheMisses atomic.Uint64
-	dedups      atomic.Uint64
-	panics      atomic.Uint64
-	retries     atomic.Uint64
-	failures    atomic.Uint64
-	evictions   atomic.Uint64
-	wallNanos   atomic.Uint64
-}
-
-// Stats is a consistent-enough snapshot of the engine's counters (each
-// field is read atomically; the set is not a single atomic transaction,
-// which is fine for monitoring).
+// Stats is a consistent-enough snapshot of the engine's registry
+// instruments (each field is read atomically; the set is not a single
+// atomic transaction, which is fine for monitoring). Engines built on
+// one registry share the instruments, so each reports their combined
+// traffic.
 type Stats struct {
 	// Requests is the number of evaluation requests received.
 	Requests uint64 `json:"requests"`
@@ -47,13 +34,13 @@ type Stats struct {
 	Evictions uint64 `json:"evictions"`
 	// CacheEntries is the live number of memoized values.
 	CacheEntries int `json:"cache_entries"`
-	// WallTime is the cumulative wall-clock time spent inside evaluators
-	// (summed across workers, so it exceeds elapsed time under
-	// parallelism).
+	// WallTime is the cumulative wall-clock time spent inside evaluators,
+	// the sum of engine_eval_seconds (summed across workers, so it
+	// exceeds elapsed time under parallelism).
 	WallTime time.Duration `json:"wall_time_ns"`
 }
 
-// Snapshot bundles the engine's static shape with its live counters —
+// Snapshot bundles the engine's static shape with its live Stats —
 // the /readyz payload of internal/server serializes it, so the JSON
 // field names are part of the service contract and covered by tests.
 type Snapshot struct {
@@ -61,11 +48,11 @@ type Snapshot struct {
 	Workers int `json:"workers"`
 	// CacheCapacity is the memo cache bound (0: caching disabled).
 	CacheCapacity int `json:"cache_capacity"`
-	// Stats is the live counter snapshot.
+	// Stats is the live instrument snapshot.
 	Stats Stats `json:"stats"`
 }
 
-// Snapshot returns the engine's shape and counters in one value.
+// Snapshot returns the engine's shape and Stats in one value.
 func (e *Engine) Snapshot() Snapshot {
 	return Snapshot{
 		Workers:       e.Workers(),
@@ -74,25 +61,25 @@ func (e *Engine) Snapshot() Snapshot {
 	}
 }
 
-// Stats returns a snapshot of the engine's counters.
+// Stats reads the engine's instruments.
 func (e *Engine) Stats() Stats {
 	return Stats{
-		Requests:     e.counters.requests.Load(),
-		Evaluations:  e.counters.evaluations.Load(),
-		CacheHits:    e.counters.cacheHits.Load(),
-		CacheMisses:  e.counters.cacheMisses.Load(),
-		Dedups:       e.counters.dedups.Load(),
-		Panics:       e.counters.panics.Load(),
-		Retries:      e.counters.retries.Load(),
-		Failures:     e.counters.failures.Load(),
-		Evictions:    e.counters.evictions.Load(),
+		Requests:     e.obs.requests.Value(),
+		Evaluations:  e.obs.evaluations.Value(),
+		CacheHits:    e.obs.cacheHits.Value(),
+		CacheMisses:  e.obs.cacheMisses.Value(),
+		Dedups:       e.obs.dedups.Value(),
+		Panics:       e.obs.panics.Value(),
+		Retries:      e.obs.retries.Value(),
+		Failures:     e.obs.failures.Value(),
+		Evictions:    e.obs.evictions.Value(),
 		CacheEntries: e.CacheLen(),
-		WallTime:     time.Duration(e.counters.wallNanos.Load()),
+		WallTime:     time.Duration(e.obs.evalSeconds.Sum() * float64(time.Second)),
 	}
 }
 
 // Delta returns the change from an earlier snapshot: s − prev for every
-// monotone counter (CacheEntries keeps the later value).
+// monotone field (CacheEntries keeps the later value).
 func (s Stats) Delta(prev Stats) Stats {
 	return Stats{
 		Requests:     s.Requests - prev.Requests,

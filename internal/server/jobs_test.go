@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -387,6 +389,40 @@ func TestJobTenantScoping(t *testing.T) {
 	var acmeList JobList
 	if status := getJSON(t, ts.URL, "/v1/jobs", "ka", &acmeList); status != http.StatusOK || len(acmeList.Jobs) != 1 {
 		t.Fatalf("acme's list: %d, %+v", status, acmeList.Jobs)
+	}
+}
+
+// TestJobStoreRejectsForeignID keeps job records inside the job
+// directory: a record whose own id is not its file name — here one that
+// would lead the record and checkpoint writes one level up — is not
+// loaded, so the server neither adopts nor rewrites it.
+func TestJobStoreRejectsForeignID(t *testing.T) {
+	base := t.TempDir()
+	dir := filepath.Join(base, "jobs")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	const id = "j0123456789abcdef"
+	rec := `{"id":"../escaped","kind":"sweep","state":"running","attempts":1,"request":{}}`
+	if err := os.WriteFile(filepath.Join(dir, id+".json"), []byte(rec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := (&jobStore{dir: dir}).load(id); err == nil {
+		t.Fatalf("load accepted record %s with id %q", id, j.ID)
+	}
+
+	_, ts := newTestServer(t, Options{Workers: 1, JobDir: dir})
+	var list JobList
+	if code := getJSON(t, ts.URL, "/v1/jobs", "", &list); code != http.StatusOK {
+		t.Fatalf("list: HTTP %d", code)
+	}
+	if len(list.Jobs) != 0 {
+		t.Fatalf("server adopted %d foreign records: %+v", len(list.Jobs), list.Jobs)
+	}
+	for _, name := range []string{"escaped.json", "escaped.ck"} {
+		if _, err := os.Stat(filepath.Join(base, name)); !os.IsNotExist(err) {
+			t.Errorf("%s written outside the job directory (stat: %v)", name, err)
+		}
 	}
 }
 

@@ -116,7 +116,10 @@ func (st *jobStore) save(j *Job) error {
 	return robust.WriteFileDurable(st.path(j.ID), append(data, '\n'))
 }
 
-// load reads one job record.
+// load reads one job record. The record must carry the ID its file is
+// named after: the manager keys the job by that field and derives its
+// record and checkpoint paths from it, so any other value could lead
+// them out of the store directory.
 func (st *jobStore) load(id string) (*Job, error) {
 	data, err := os.ReadFile(st.path(id))
 	if err != nil {
@@ -125,6 +128,9 @@ func (st *jobStore) load(id string) (*Job, error) {
 	var j Job
 	if err := json.Unmarshal(data, &j); err != nil {
 		return nil, fmt.Errorf("server: decoding job %s: %w", id, err)
+	}
+	if j.ID != id {
+		return nil, fmt.Errorf("server: job record %s carries id %q", id, j.ID)
 	}
 	return &j, nil
 }

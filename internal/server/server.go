@@ -413,7 +413,7 @@ func (g *engineGate) AcquireSlot(ctx context.Context) (func(), error) {
 	if err != nil {
 		return nil, err
 	}
-	t.obsEvals.Add(1)
+	t.obsSlots.Add(1)
 	return release, nil
 }
 

@@ -133,7 +133,9 @@ type tenantState struct {
 	obsRequests *obs.Counter
 	obsShed     *obs.Counter
 	obsQueueSec *obs.Histogram
-	obsEvals    *obs.Counter
+	// obsSlots counts the engine-pool WDRR slot grants: one per engine
+	// chunk, which is up to 512 points for a batch evaluator.
+	obsSlots *obs.Counter
 }
 
 // newTenantState builds the state for one named tenant, resolving its
@@ -144,7 +146,7 @@ func newTenantState(cfg TenantConfig, metrics *obs.Registry) *tenantState {
 		obsRequests: metrics.Counter(obs.Labeled("tenant_requests_total", "tenant", cfg.Name)),
 		obsShed:     metrics.Counter(obs.Labeled("tenant_shed_total", "tenant", cfg.Name)),
 		obsQueueSec: metrics.Histogram(obs.Labeled("tenant_queue_seconds", "tenant", cfg.Name), obs.LatencyBuckets()),
-		obsEvals:    metrics.Counter(obs.Labeled("tenant_engine_evals_total", "tenant", cfg.Name)),
+		obsSlots:    metrics.Counter(obs.Labeled("tenant_engine_slots_total", "tenant", cfg.Name)),
 	}
 	t.cfg.Store(&cfg)
 	t.tokens = cfg.Burst

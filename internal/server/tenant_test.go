@@ -261,3 +261,22 @@ func TestAPIKeyExtraction(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantEngineSlotsCountsGrants pins what tenant_engine_slots_total
+// counts: WDRR slot grants on the engine pool, one per engine chunk,
+// not one per evaluation. A per=4 tmm sweep is 4,096 points, which
+// chunkSize cuts into eight 512-point chunks on two workers.
+func TestTenantEngineSlotsCountsGrants(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := newTestServer(t, Options{Workers: 2, Metrics: reg})
+	res := sweepOver(t, ts.URL, SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 4}})
+	if res.Error != nil {
+		t.Fatalf("sweep failed: %+v", res.Error)
+	}
+	if res.Engine.Evaluations != 4096 {
+		t.Fatalf("sweep spent %d evaluations, want 4096", res.Engine.Evaluations)
+	}
+	if got := reg.Counter(obs.Labeled("tenant_engine_slots_total", "tenant", AnonymousTenant)).Value(); got != 8 {
+		t.Fatalf("tenant_engine_slots_total = %d, want 8 grants for 4096 points on 2 workers", got)
+	}
+}

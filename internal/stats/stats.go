@@ -1,5 +1,6 @@
 // Package stats provides the small statistical helpers the experiment
-// harness uses: central moments, percentiles and relative-error metrics.
+// harness uses: means, extrema, rank correlation and relative-error
+// metrics.
 package stats
 
 import (
@@ -18,54 +19,6 @@ func Mean(xs []float64) float64 {
 		s += x
 	}
 	return s / float64(len(xs))
-}
-
-// Stddev returns the population standard deviation.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var s float64
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
-// interpolation on the sorted copy.
-func Percentile(xs []float64, p float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: percentile of empty slice")
-	}
-	if p < 0 || p > 100 {
-		return 0, fmt.Errorf("stats: percentile %v outside [0,100]", p)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if len(sorted) == 1 {
-		return sorted[0], nil
-	}
-	pos := p / 100 * float64(len(sorted)-1)
-	lo := int(pos)
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[len(sorted)-1], nil
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac, nil
-}
-
-// RelErr returns |got−want| / |want|; +Inf when want is 0 and got isn't.
-func RelErr(got, want float64) float64 {
-	if want == 0 { //lint:allow floatguard exact zero guards the division below
-		if got == 0 { //lint:allow floatguard exact zero distinguishes 0/0 from x/0
-			return 0
-		}
-		return math.Inf(1)
-	}
-	return math.Abs(got-want) / math.Abs(want)
 }
 
 // MAPE returns the mean absolute percentage error between predictions and

@@ -14,53 +14,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{5}) != 0 {
-		t.Fatal("single-element stddev")
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if math.Abs(got-2) > 1e-12 {
-		t.Fatalf("stddev = %v, want 2", got)
-	}
-}
-
-func TestPercentile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ p, want float64 }{
-		{0, 1}, {50, 3}, {100, 5}, {25, 2},
-	}
-	for _, c := range cases {
-		got, err := Percentile(xs, c.p)
-		if err != nil {
-			t.Fatalf("Percentile(%v): %v", c.p, err)
-		}
-		if math.Abs(got-c.want) > 1e-12 {
-			t.Errorf("P%v = %v, want %v", c.p, got, c.want)
-		}
-	}
-	if _, err := Percentile(nil, 50); err == nil {
-		t.Error("empty percentile accepted")
-	}
-	if _, err := Percentile(xs, 150); err == nil {
-		t.Error("out-of-range percentile accepted")
-	}
-	if got, err := Percentile([]float64{7}, 50); err != nil || got != 7 {
-		t.Errorf("single-element percentile: %v, %v", got, err)
-	}
-}
-
-func TestRelErr(t *testing.T) {
-	if got := RelErr(11, 10); math.Abs(got-0.1) > 1e-12 {
-		t.Fatalf("RelErr = %v", got)
-	}
-	if RelErr(0, 0) != 0 {
-		t.Fatal("RelErr(0,0)")
-	}
-	if !math.IsInf(RelErr(1, 0), 1) {
-		t.Fatal("RelErr(1,0) not +Inf")
-	}
-}
-
 func TestMAPE(t *testing.T) {
 	got, err := MAPE([]float64{9, 22}, []float64{10, 20})
 	if err != nil {

@@ -32,15 +32,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddFloats appends one row of numeric cells formatted with %.4g.
-func (t *Table) AddFloats(vals ...float64) {
-	cells := make([]string, len(vals))
-	for i, v := range vals {
-		cells[i] = Float(v)
-	}
-	t.AddRow(cells...)
-}
-
 // String renders an aligned text table.
 func (t *Table) String() string {
 	widths := make([]int, len(t.Columns))

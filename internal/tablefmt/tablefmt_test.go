@@ -52,14 +52,6 @@ func TestCSV(t *testing.T) {
 	}
 }
 
-func TestAddFloats(t *testing.T) {
-	tb := New("", "x", "y")
-	tb.AddFloats(1.23456789, 1000000.0)
-	if tb.Rows[0][0] != "1.235" {
-		t.Fatalf("float cell = %q", tb.Rows[0][0])
-	}
-}
-
 func TestHelpers(t *testing.T) {
 	if Float(0.5) != "0.5" {
 		t.Fatalf("Float = %q", Float(0.5))

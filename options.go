@@ -68,8 +68,11 @@ func WithEngine(e *Engine) Option { return func(c *runConfig) { c.engine = e } }
 // context, so nested layers and private engines inherit it).
 func WithTracer(t *Tracer) Option { return func(c *runConfig) { c.tracer = t } }
 
-// WithMetrics mirrors the call's counters into r (engine_*, dse_*,
-// aps_*, sim_* instruments; see DESIGN.md §9 for the naming scheme).
+// WithMetrics counts the call's dse_*, aps_* and sim_* work in r (see
+// DESIGN.md §9 for the naming scheme). Its engine_* counts land in r
+// only when WithCacheSize builds the call's engine: a WithEngine engine
+// counts in its own EngineOptions.Metrics, and any other engine the
+// call builds counts in a registry of its own.
 func WithMetrics(r *Metrics) Option { return func(c *runConfig) { c.metrics = r } }
 
 // WithWorkers bounds evaluation parallelism (≤0: GOMAXPROCS). Ignored
