@@ -88,6 +88,8 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/dse
 	$(GO) test -run XXX -fuzz FuzzJobStoreLoad -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzDecodePeerEval -fuzztime 10s ./internal/cluster
+	$(GO) test -run XXX -fuzz FuzzLoadTenantsFile -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzLoadPeersFile -fuzztime 10s ./internal/cluster
 
 clean:
 	$(GO) clean ./...

@@ -156,7 +156,8 @@ func TestFacadeDSEAndAPS(t *testing.T) {
 	eval := c2bound.EvaluatorFunc(func(p []float64) float64 {
 		return 1000/p[3] + p[0] + 100/p[5] + 10/p[4] + 1/p[1] + 1/p[2]
 	})
-	values, report, err := c2bound.Sweep(context.Background(), c2bound.AdaptEvaluator(eval), space, c2bound.WithWorkers(2))
+	values, report, err := c2bound.Sweep(context.Background(), c2bound.AdaptEvaluator(eval), space,
+		c2bound.WithEngine(c2bound.NewEngine(c2bound.EngineOptions{Workers: 2, CacheSize: -1})))
 	if err != nil {
 		t.Fatalf("Sweep: %v", err)
 	}
@@ -233,7 +234,7 @@ func TestFacadeV2Options(t *testing.T) {
 
 	// Optimize v2 with a private caching engine.
 	optRes, err := c2bound.Optimize(context.Background(), m,
-		c2bound.WithCacheSize(1<<12),
+		c2bound.WithEngine(c2bound.NewEngine(c2bound.EngineOptions{CacheSize: 1 << 12})),
 		c2bound.WithOptimize(c2bound.OptimizeOptions{MaxN: 64}))
 	if err != nil {
 		t.Fatalf("Optimize: %v", err)

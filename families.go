@@ -131,21 +131,9 @@ func FamilyDesignSpace(m FamilyModel, per int) (DesignSpace, error) {
 // engine-batched scan over its declared space (subsampled to per values
 // per dimension; per ≤ 0 scans the full grids). The c2bound family
 // additionally has the analytic RunAPS flow; this entry point works for
-// every family uniformly and honours WithEngine, WithWorkers,
-// WithRetry, WithTimeout, WithCheckpoint/WithResume and the
-// observability options.
+// every family uniformly and honours WithEngine, WithCheckpoint/
+// WithResume, the observability options and the context's deadline.
 func OptimizeFamily(ctx context.Context, m FamilyModel, per int, opts ...Option) (FamilyOptimum, error) {
 	c := newRunConfig(opts)
-	return aps.RunModelCtx(c.context(ctx), m, aps.ModelOptions{
-		Engine:  c.engineFor(),
-		Per:     per,
-		Workers: c.workers,
-		Sweep: dse.SweepOptions{
-			Retry:           c.retry,
-			Timeout:         c.timeout,
-			CheckpointPath:  c.checkpoint,
-			CheckpointEvery: c.every,
-			Resume:          c.resume,
-		},
-	})
+	return aps.RunModelCtx(c.context(ctx), m, aps.ModelOptions{Engine: c.engine, Per: per, Sweep: c.sweep})
 }

@@ -28,7 +28,6 @@ type ANNSearch struct {
 	MaxSims   int // give-up budget (default space size)
 	Hidden    int // network width (default 16)
 	Epochs    int // training epochs per round (default 400)
-	Workers   int
 }
 
 // ANNResult reports the baseline's outcome.

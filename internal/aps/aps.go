@@ -53,17 +53,13 @@ type Options struct {
 	// solution in the A0/A1/A2/N dimensions; 0 reproduces the paper's
 	// flow (only issue width and ROB are swept, 10×10 = 100 simulations).
 	Radius int
-	// Workers bounds sweep parallelism (≤0: GOMAXPROCS). Ignored when
-	// Engine is set (the engine's pool wins).
-	Workers int
 	// Metric is the optimization target shared by the analytic and
 	// simulated phases (default MetricTime).
 	Metric Metric
 	// Optimize forwards bounds to the analytic optimizer.
 	Optimize core.Options
-	// Sweep tunes the resilience of the simulated phase: retry policy,
-	// overall timeout, and checkpoint/resume of the slice sweep. Its
-	// Workers field defaults to Options.Workers when zero.
+	// Sweep sets checkpoint/resume of the simulated slice. Its Engine is
+	// replaced by the run's engine.
 	Sweep dse.SweepOptions
 }
 
@@ -98,8 +94,8 @@ type Result struct {
 // the simulator. The space must carry the six paper dimensions
 // (dse.DimA0 … dse.DimROB). The context's cancellation or deadline
 // propagates into the analytic grid scan and every simulator
-// invocation, failing evaluations are retried per opts.Sweep.Retry,
-// and the simulated phase can checkpoint and resume.
+// invocation, failing evaluations are retried per the engine's retry
+// policy, and the simulated phase can checkpoint and resume.
 func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEvaluator, opts Options) (Result, error) {
 	dims := make(map[string]int, 6)
 	for _, name := range []string{dse.DimA0, dse.DimA1, dse.DimA2, dse.DimN, dse.DimIssue, dse.DimROB} {
@@ -117,7 +113,7 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 	defer runSp.Finish()
 
 	// One engine serves the grid snap and the simulated slice.
-	r := startRun(ctx, opts.Engine, opts.Workers, opts.Sweep)
+	r := startRun(ctx, opts.Engine, opts.Sweep)
 
 	// Step 1+2: analytic optimization (characterization is assumed done:
 	// the model's App already carries measured parameters). The
@@ -183,7 +179,7 @@ func RunCtx(ctx context.Context, m core.Model, space dse.Space, eval dse.CtxEval
 
 // runState is the scaffold RunCtx and RunModelCtx share: the engine a
 // run evaluates on, its counters when the run started, and the run's
-// defaulted sweep options.
+// sweep options.
 type runState struct {
 	eng    *engine.Engine
 	stats0 engine.Stats
@@ -191,21 +187,13 @@ type runState struct {
 }
 
 // startRun picks the run's engine — the shared one, or a private one
-// for this run that inherits ctx's tracer and the sweep's retry policy
-// and counts in a registry of its own, so its Stats are this run's
-// traffic alone — and defaults the sweep options: Workers falls back to
-// the run's worker bound and the sweep rides the run's engine.
-func startRun(ctx context.Context, shared *engine.Engine, workers int, sweep dse.SweepOptions) runState {
+// for this run on the engine.Options defaults that inherits ctx's
+// tracer and counts in a registry of its own, so its Stats are this
+// run's traffic alone — and sets the sweep to ride it.
+func startRun(ctx context.Context, shared *engine.Engine, sweep dse.SweepOptions) runState {
 	eng := shared
 	if eng == nil {
-		eng = engine.New(engine.Options{
-			Workers: workers,
-			Retry:   sweep.Retry,
-			Tracer:  obs.TracerFrom(ctx),
-		})
-	}
-	if sweep.Workers == 0 {
-		sweep.Workers = workers
+		eng = engine.New(engine.Options{Tracer: obs.TracerFrom(ctx)})
 	}
 	sweep.Engine = eng
 	return runState{eng: eng, stats0: eng.Stats(), sweep: sweep}

@@ -22,6 +22,16 @@ func testSetup(t *testing.T, per int) (core.Model, dse.Space, dse.Evaluator) {
 	return m, space, dse.NewFamilyEvaluator(model.NewC2Bound(m))
 }
 
+// sweepAll is the ground truth: eval at every point of space.
+func sweepAll(t *testing.T, eval dse.Evaluator, space dse.Space) []float64 {
+	t.Helper()
+	truth, _, err := dse.SweepCtx(context.Background(), dse.WithContext(eval), space, nil, dse.SweepOptions{})
+	if err != nil {
+		t.Fatalf("ground-truth sweep: %v", err)
+	}
+	return truth
+}
+
 func TestRunBasic(t *testing.T) {
 	m, space, eval := testSetup(t, 4)
 	res, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
@@ -71,7 +81,7 @@ func TestRunCloseToGroundTruth(t *testing.T) {
 	// On the analytic evaluator, APS's chosen design should be within a
 	// modest factor of the global optimum of the full sweep.
 	m, space, eval := testSetup(t, 3)
-	truth := dse.Sweep(context.Background(), eval, space, 0)
+	truth := sweepAll(t, eval, space)
 	res, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("RunCtx: %v", err)
@@ -171,7 +181,7 @@ func TestRelativeError(t *testing.T) {
 
 func TestANNSearchReachesTarget(t *testing.T) {
 	_, space, eval := testSetup(t, 3)
-	truth := dse.Sweep(context.Background(), eval, space, 0)
+	truth := sweepAll(t, eval, space)
 	search := &ANNSearch{
 		Space: space, Truth: truth, Seed: 11,
 		ChunkSize: 30, Epochs: 200, MaxSims: space.Size(),
@@ -210,7 +220,7 @@ func TestANNNeedsMoreSimsThanAPS(t *testing.T) {
 	// The paper's Fig. 12 relationship on the reduced space: APS's
 	// simulation count is below the ANN baseline's at matched error.
 	m, space, eval := testSetup(t, 3)
-	truth := dse.Sweep(context.Background(), eval, space, 0)
+	truth := sweepAll(t, eval, space)
 	apsRes, err := RunCtx(context.Background(), m, space, dse.WithContext(eval), Options{Optimize: core.Options{MaxN: 64}})
 	if err != nil {
 		t.Fatalf("APS: %v", err)

@@ -18,10 +18,8 @@ type ModelOptions struct {
 	// Per subsamples the family's default grids to at most this many
 	// values per dimension (≤ 0: full grids).
 	Per int
-	// Workers bounds sweep parallelism (≤0: GOMAXPROCS). Ignored when
-	// Engine is set.
-	Workers int
-	// Sweep tunes resilience: retry policy, timeout, checkpointing.
+	// Sweep sets checkpoint/resume of the grid scan. Its Engine is
+	// replaced by the run's engine.
 	Sweep dse.SweepOptions
 }
 
@@ -57,6 +55,6 @@ func RunModelCtx(ctx context.Context, m model.Model, opts ModelOptions) (ModelRe
 	ctx, runSp := tr.Start(ctx, "aps.run-model", obs.I("space_size", int64(space.Size())))
 	defer runSp.Finish()
 
-	r := startRun(ctx, opts.Engine, opts.Workers, opts.Sweep)
+	r := startRun(ctx, opts.Engine, opts.Sweep)
 	return r.sweepBest(ctx, dse.NewFamilyEvaluator(m), space, nil, "model grid scan")
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dse"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/robust"
 )
@@ -46,9 +47,9 @@ func TestRunCtxWithFaultInjectionFindsSameOptimum(t *testing.T) {
 	faulty.PFail = 0.15
 	faulty.PPanic = 0.05 // 20% transient faults on every simulated point
 	fopts := opts
-	fopts.Sweep.Retry = robust.RetryPolicy{
+	fopts.Engine = engine.New(engine.Options{Retry: robust.RetryPolicy{
 		MaxAttempts: 12, BaseDelay: time.Microsecond, MaxDelay: 50 * time.Microsecond,
-	}
+	}})
 	got, err := RunCtx(context.Background(), m, space, faulty, fopts)
 	if err != nil {
 		t.Fatalf("faulty RunCtx: %v", err)
@@ -88,9 +89,7 @@ func TestRunCtxCancelMidSweepReturnsPartialReport(t *testing.T) {
 		}
 		return inner.EvaluateCtx(c, p)
 	})
-	opts := Options{Optimize: core.Options{MaxN: 64}}
-	opts.Sweep.Workers = 1
-	res, err := RunCtx(ctx, m, space, eval, opts)
+	res, err := RunCtx(ctx, m, space, eval, Options{Optimize: core.Options{MaxN: 64}})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

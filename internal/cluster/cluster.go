@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"os"
@@ -29,21 +31,29 @@ type Config struct {
 	// Self names this process's own row (overridable by the CLI's
 	// -peer-self flag, so one shared file can serve every peer).
 	Self string `json:"self,omitempty"`
-	// VirtualNodes is the per-peer vnode count (0: DefaultVirtualNodes).
+	// VirtualNodes is the per-peer vnode count (0: DefaultVirtualNodes;
+	// at most 4096).
 	VirtualNodes int `json:"vnodes,omitempty"`
 	// Peers is the full membership, this process included.
 	Peers []PeerConfig `json:"peers"`
 }
 
-// LoadPeersFile reads and validates a peers.json membership table.
+// LoadPeersFile reads a peers.json membership table, rejecting unknown
+// keys (a misspelled "vnodes" must not silently reshape one peer's ring)
+// and trailing data; New and SetPeers validate it.
 func LoadPeersFile(path string) (Config, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return Config{}, fmt.Errorf("cluster: %w", err)
 	}
 	var cfg Config
-	if err := json.Unmarshal(data, &cfg); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&cfg); err != nil {
 		return Config{}, fmt.Errorf("cluster: peers file %q: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Config{}, fmt.Errorf("cluster: peers file %q: trailing data after JSON document", path)
 	}
 	return cfg, nil
 }
@@ -52,6 +62,9 @@ func LoadPeersFile(path string) (Config, error) {
 func (c Config) validate() error {
 	if len(c.Peers) == 0 {
 		return fmt.Errorf("cluster: membership table is empty")
+	}
+	if c.VirtualNodes < 0 || c.VirtualNodes > maxVirtualNodes {
+		return fmt.Errorf("cluster: vnodes %d outside [0, %d]", c.VirtualNodes, maxVirtualNodes)
 	}
 	seen := make(map[string]bool, len(c.Peers))
 	selfFound := false

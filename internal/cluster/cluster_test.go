@@ -127,6 +127,45 @@ func TestLoadPeersFile(t *testing.T) {
 	}
 }
 
+// TestValidateBoundsVirtualNodes rejects a vnode count outside
+// [0, maxVirtualNodes]: the ring holds that many entries per peer.
+func TestValidateBoundsVirtualNodes(t *testing.T) {
+	for _, v := range []int{-1, maxVirtualNodes + 1, 1280000} {
+		cfg := testConfig("a", "a", "b")
+		cfg.VirtualNodes = v
+		if _, err := New(cfg, Options{}); err == nil || !strings.Contains(err.Error(), "vnodes") {
+			t.Errorf("vnodes %d: error %v, want a vnodes error", v, err)
+		}
+	}
+	cfg := testConfig("a", "a", "b")
+	cfg.VirtualNodes = maxVirtualNodes
+	if _, err := New(cfg, Options{}); err != nil {
+		t.Fatalf("vnodes %d: %v", maxVirtualNodes, err)
+	}
+}
+
+// TestLoadPeersFileRejectsUnknownKeys loads peers files with a
+// misspelled or unknown key, or trailing bytes: each is an error, so
+// no peer silently falls back to a default ring.
+func TestLoadPeersFileRejectsUnknownKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "peers.json")
+	const peers = `"peers":[{"name":"a","url":"http://127.0.0.1:9001"},{"name":"b","url":"http://127.0.0.1:9002"}]`
+	for _, body := range []string{
+		`{"self":"a",` + peers + `,"peerz":[]}`,
+		`{"self":"a","vnode":32,` + peers + `}`,
+		`{"self":"a","peers":[{"name":"a","url":"http://127.0.0.1:9001","weight":3}]}`,
+		`{"self":"a",` + peers + `}{"self":"b"}`,
+		`{"self":"a",` + peers + `}]`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if cfg, err := LoadPeersFile(path); err == nil {
+			t.Errorf("%s: loaded %+v with a nil error", body, cfg)
+		}
+	}
+}
+
 func TestOwnerRoutesAndSetPeersPreservesState(t *testing.T) {
 	c, err := New(testConfig("a", "a", "b", "c"), Options{})
 	if err != nil {

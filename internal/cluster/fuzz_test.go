@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -60,6 +64,73 @@ func FuzzDecodePeerEval(f *testing.F) {
 			if math.Float64bits(o.Value) != math.Float64bits(a.Value) {
 				t.Fatalf("outcome %d bits changed on re-encoding: %x → %x", i, math.Float64bits(o.Value), math.Float64bits(a.Value))
 			}
+		}
+	})
+}
+
+// FuzzLoadPeersFile holds the peers table to all-or-nothing on arbitrary
+// file bytes: a table SetPeers rejects leaves PeerNames unchanged, one it
+// accepts installs exactly its peers, and a table that loads re-marshals
+// to a file that loads an equal Config.
+func FuzzLoadPeersFile(f *testing.F) {
+	for _, seed := range []string{
+		`{"self":"a","vnodes":32,"peers":[{"name":"a","url":"http://127.0.0.1:9001"},{"name":"b","url":"http://127.0.0.1:9002"}]}`,
+		`{"self":"a","peers":[{"name":"a","url":"http://h:1"},{"name":"d","url":"https://h:4/"}]}`,
+		`{"self":"z","peers":[{"name":"z","url":"http://h:1"}]}`,
+		`{"self":"a","peers":[{"name":"a","url":"http://h:1"},{"name":"a","url":"http://h:2"}]}`,
+		`{"self":"a","peers":[{"name":"a","url":"ftp://h"}]}`,
+		`{"self":"a","vnodes":-1,"peers":[{"name":"a","url":"http://h:1"}]}`,
+		`{"self":"a","peers":[{"name":"a","url":"http://h:1","weight":3}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	known := testConfig("a", "a", "b", "c")
+	c, err := New(known, Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := c.SetPeers(known); err != nil {
+			t.Fatal(err)
+		}
+		before := c.PeerNames()
+		path := filepath.Join(t.TempDir(), "peers.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := LoadPeersFile(path)
+		if err != nil {
+			return
+		}
+		if err := c.SetPeers(cfg); err != nil {
+			if got := c.PeerNames(); !reflect.DeepEqual(got, before) {
+				t.Fatalf("rejected table (%v) changed the peers from %v to %v", err, before, got)
+			}
+		} else {
+			want := []string{}
+			for _, p := range cfg.Peers {
+				if p.Name != cfg.Self {
+					want = append(want, p.Name)
+				}
+			}
+			sort.Strings(want)
+			if got := c.PeerNames(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("accepted table installed peers %v, want %v", got, want)
+			}
+		}
+		again, err := json.Marshal(cfg)
+		if err != nil {
+			t.Fatalf("loaded table does not encode: %v", err)
+		}
+		if err := os.WriteFile(path, again, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := LoadPeersFile(path)
+		if err != nil {
+			t.Fatalf("re-marshalled table %s does not load: %v", again, err)
+		}
+		if !reflect.DeepEqual(reloaded, cfg) {
+			t.Fatalf("round trip changed the table:\n%+v\n%+v", cfg, reloaded)
 		}
 	})
 }

@@ -24,6 +24,11 @@ import (
 // under the 15% budget for small clusters (see TestRingBalance).
 const DefaultVirtualNodes = 128
 
+// maxVirtualNodes bounds Config.VirtualNodes: the ring holds that many
+// entries per peer and is rebuilt on every membership change, so a typo
+// such as 1280000 fails validation instead of costing memory.
+const maxVirtualNodes = 1 << 12
+
 // fnvOffset/fnvPrime are the FNV-1a constants; identical to the
 // engine's, so vnode placement is deterministic across processes and
 // architectures.

@@ -2,17 +2,14 @@
 // experiment — six microarchitecture parameters (core area A0, L1 area
 // A1, L2 slice area A2, core count N, issue width, ROB size) with ten
 // candidate values each, a 10⁶-point space declared by the c2bound model
-// family — with enumeration, nearest-point snapping, slice extraction and
-// a parallel brute-force sweep that serves as the ground truth APS and
-// the ANN baseline are measured against.
+// family — with enumeration, neighborhoods and the parallel brute-force
+// sweep (SweepCtx) that serves as the ground truth APS and the ANN
+// baseline are measured against.
 package dse
 
 import (
-	"context"
 	"fmt"
 	"math"
-
-	"repro/internal/robust"
 )
 
 // Param is one design-space dimension.
@@ -161,27 +158,6 @@ type EvaluatorFunc func(point []float64) float64
 
 // Evaluate implements Evaluator.
 func (f EvaluatorFunc) Evaluate(point []float64) float64 { return f(point) }
-
-// Sweep evaluates every configuration with a worker pool and returns the
-// value for each flat index. workers ≤ 0 selects GOMAXPROCS. Cancellation
-// of ctx stops the sweep promptly, leaving unevaluated entries NaN; use
-// SweepCtx for the full report (failures, retries, pending indices).
-func Sweep(ctx context.Context, e Evaluator, s Space, workers int) []float64 {
-	return SweepIndices(ctx, e, s, nil, workers)
-}
-
-// SweepIndices evaluates the listed flat indices (all of them when
-// indices is nil) in parallel, returning a dense slice indexed by flat
-// index with NaN for unevaluated entries (or every entry when indices is
-// nil, in which case all are evaluated). Evaluator panics are isolated to
-// their index (the entry stays NaN) instead of crashing the sweep.
-func SweepIndices(ctx context.Context, e Evaluator, s Space, indices []int, workers int) []float64 {
-	values, _, _ := SweepCtx(ctx, WithContext(e), s, indices, SweepOptions{
-		Workers: workers,
-		Retry:   robust.RetryPolicy{MaxAttempts: 1}, // plain evaluators are deterministic
-	})
-	return values
-}
 
 // Best returns the index and value of the smallest finite entry; idx is −1
 // when none is finite.

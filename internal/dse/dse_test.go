@@ -8,6 +8,7 @@ import (
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/robust"
 )
 
 // paperSpace is the full §IV grid of the c2bound family on the default
@@ -134,9 +135,9 @@ func TestSweepMatchesSequential(t *testing.T) {
 		Param{Name: "x", Values: []float64{1, 2, 3, 4, 5}},
 		Param{Name: "y", Values: []float64{1, 2, 3, 4}},
 	)
-	eval := EvaluatorFunc(func(p []float64) float64 { return p[0]*10 + p[1] })
-	par := Sweep(context.Background(), eval, s, 4)
-	seq := Sweep(context.Background(), eval, s, 1)
+	eval := WithContext(EvaluatorFunc(func(p []float64) float64 { return p[0]*10 + p[1] }))
+	par, _, _ := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Engine: uncached(4, robust.RetryPolicy{MaxAttempts: 1})})
+	seq, _, _ := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Engine: uncached(1, robust.RetryPolicy{MaxAttempts: 1})})
 	for i := range par {
 		if par[i] != seq[i] {
 			t.Fatalf("parallel/sequential mismatch at %d", i)
@@ -150,8 +151,8 @@ func TestSweepMatchesSequential(t *testing.T) {
 
 func TestSweepIndicesPartial(t *testing.T) {
 	s, _ := NewSpace(Param{Name: "x", Values: []float64{0, 1, 2, 3}})
-	eval := EvaluatorFunc(func(p []float64) float64 { return p[0] })
-	vals := SweepIndices(context.Background(), eval, s, []int{1, 3}, 2)
+	eval := WithContext(EvaluatorFunc(func(p []float64) float64 { return p[0] }))
+	vals, _, _ := SweepCtx(context.Background(), eval, s, []int{1, 3}, SweepOptions{Engine: uncached(2, robust.RetryPolicy{MaxAttempts: 1})})
 	if !math.IsNaN(vals[0]) || !math.IsNaN(vals[2]) {
 		t.Fatal("unevaluated entries not NaN")
 	}

@@ -11,9 +11,16 @@ import (
 
 	"repro/internal/chip"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/robust"
 )
+
+// uncached is the engine SweepCtx builds for a nil Engine, with the
+// given worker bound and retry policy.
+func uncached(workers int, retry robust.RetryPolicy) *engine.Engine {
+	return engine.New(engine.Options{Workers: workers, CacheSize: -1, Retry: retry})
+}
 
 func modelEvalSpace(t *testing.T, per int) (*FamilyEvaluator, Space) {
 	t.Helper()
@@ -27,17 +34,16 @@ func modelEvalSpace(t *testing.T, per int) (*FamilyEvaluator, Space) {
 
 func TestSweepCtxMatchesPlainSweep(t *testing.T) {
 	eval, s := modelEvalSpace(t, 2)
-	plain := Sweep(context.Background(), eval, s, 4)
-	vals, rep, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Workers: 4})
+	vals, rep, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Engine: uncached(4, robust.RetryPolicy{})})
 	if err != nil {
 		t.Fatalf("SweepCtx: %v", err)
 	}
 	if len(rep.Completed) != s.Size() || len(rep.Failed) != 0 || len(rep.Pending) != 0 || rep.Canceled {
 		t.Fatalf("report = %+v", rep)
 	}
-	for i := range plain {
-		if math.Float64bits(plain[i]) != math.Float64bits(vals[i]) {
-			t.Fatalf("value %d differs: %v vs %v", i, plain[i], vals[i])
+	for i := range vals {
+		if plain := eval.Evaluate(s.Point(i)); math.Float64bits(plain) != math.Float64bits(vals[i]) {
+			t.Fatalf("value %d differs: %v vs %v", i, plain, vals[i])
 		}
 	}
 }
@@ -69,7 +75,7 @@ func TestSweepCtxCancelReturnsPromptlyWithPartialResults(t *testing.T) {
 		cancel()
 	}()
 	start := time.Now()
-	vals, rep, err := SweepCtx(ctx, eval, s, nil, SweepOptions{Workers: 4})
+	vals, rep, err := SweepCtx(ctx, eval, s, nil, SweepOptions{Engine: uncached(4, robust.RetryPolicy{})})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -103,7 +109,7 @@ func TestSweepCtxCancelReturnsPromptlyWithPartialResults(t *testing.T) {
 
 func TestSweepCtxFaultInjectionMatchesFaultFreeExactly(t *testing.T) {
 	eval, s := modelEvalSpace(t, 2)
-	clean, _, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Workers: 4})
+	clean, _, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Engine: uncached(4, robust.RetryPolicy{})})
 	if err != nil {
 		t.Fatalf("clean sweep: %v", err)
 	}
@@ -112,8 +118,7 @@ func TestSweepCtxFaultInjectionMatchesFaultFreeExactly(t *testing.T) {
 	faulty.PFail = 0.15
 	faulty.PPanic = 0.05 // 20% transient faults total
 	vals, rep, err := SweepCtx(context.Background(), faulty, s, nil, SweepOptions{
-		Workers: 4,
-		Retry:   robust.RetryPolicy{MaxAttempts: 12, BaseDelay: time.Microsecond, MaxDelay: 50 * time.Microsecond},
+		Engine: uncached(4, robust.RetryPolicy{MaxAttempts: 12, BaseDelay: time.Microsecond, MaxDelay: 50 * time.Microsecond}),
 	})
 	if err != nil {
 		t.Fatalf("faulty sweep: %v", err)
@@ -140,7 +145,7 @@ func TestSweepCtxCheckpointResumeByteIdentical(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 
 	// Reference: one uninterrupted sweep.
-	want, _, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Workers: 2})
+	want, _, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{Engine: uncached(2, robust.RetryPolicy{})})
 	if err != nil {
 		t.Fatalf("reference sweep: %v", err)
 	}
@@ -152,7 +157,7 @@ func TestSweepCtxCheckpointResumeByteIdentical(t *testing.T) {
 		half = append(half, i)
 	}
 	_, rep1, err := SweepCtx(context.Background(), eval, s, half, SweepOptions{
-		Workers: 2, CheckpointPath: path, CheckpointEvery: 1,
+		Engine: uncached(2, robust.RetryPolicy{}), CheckpointPath: path, CheckpointEvery: 1,
 	})
 	if err != nil {
 		t.Fatalf("partial sweep: %v", err)
@@ -167,7 +172,7 @@ func TestSweepCtxCheckpointResumeByteIdentical(t *testing.T) {
 	// Pass 2: resume over the full space; the checkpointed half must be
 	// restored, the rest evaluated, and the result byte-identical.
 	got, rep2, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{
-		Workers: 2, CheckpointPath: path, Resume: true,
+		Engine: uncached(2, robust.RetryPolicy{}), CheckpointPath: path, Resume: true,
 	})
 	if err != nil {
 		t.Fatalf("resumed sweep: %v", err)
@@ -212,7 +217,7 @@ func TestSweepCtxCancelThenResumeCompletes(t *testing.T) {
 		cancel()
 	}()
 	_, rep, err := SweepCtx(ctx, eval, s, nil, SweepOptions{
-		Workers: 1, CheckpointPath: path, CheckpointEvery: 1,
+		Engine: uncached(1, robust.RetryPolicy{}), CheckpointPath: path, CheckpointEvery: 1,
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
@@ -223,7 +228,7 @@ func TestSweepCtxCancelThenResumeCompletes(t *testing.T) {
 
 	vals, rep2, err := SweepCtx(context.Background(), robust.EvaluatorFunc(
 		func(_ context.Context, p []float64) (float64, error) { return p[0] + 100, nil },
-	), s, nil, SweepOptions{Workers: 1, CheckpointPath: path, Resume: true})
+	), s, nil, SweepOptions{Engine: uncached(1, robust.RetryPolicy{}), CheckpointPath: path, Resume: true})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}
@@ -250,8 +255,7 @@ func TestSweepCtxPermanentFailureReported(t *testing.T) {
 		return p[0], nil
 	})
 	vals, rep, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{
-		Workers: 2,
-		Retry:   robust.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond},
+		Engine: uncached(2, robust.RetryPolicy{MaxAttempts: 2, BaseDelay: time.Microsecond}),
 	})
 	if err != nil {
 		t.Fatalf("SweepCtx: %v", err)
@@ -284,9 +288,9 @@ func TestSweepCtxTimeoutOption(t *testing.T) {
 		}
 	})
 	start := time.Now()
-	_, rep, err := SweepCtx(context.Background(), eval, s, nil, SweepOptions{
-		Workers: 2, Timeout: 50 * time.Millisecond,
-	})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, rep, err := SweepCtx(ctx, eval, s, nil, SweepOptions{Engine: uncached(2, robust.RetryPolicy{})})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded", err)
 	}
@@ -302,7 +306,7 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	evalA, sA := modelEvalSpace(t, 2)
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	if _, _, err := SweepCtx(context.Background(), evalA, sA, nil, SweepOptions{
-		Workers: 2, CheckpointPath: path,
+		Engine: uncached(2, robust.RetryPolicy{}), CheckpointPath: path,
 	}); err != nil {
 		t.Fatalf("seed sweep: %v", err)
 	}

@@ -63,21 +63,11 @@ func WithContext(e Evaluator) CtxEvaluator {
 
 // SweepOptions tunes the resilient sweep.
 type SweepOptions struct {
-	// Engine routes every evaluation through a shared memoizing engine.
-	// When set, the engine's worker bound and retry policy win over the
-	// Workers and Retry fields below, and results already memoized by
-	// earlier work on the same engine are served from its cache.
+	// Engine runs every evaluation: its worker bound and retry policy
+	// apply, and results already memoized by earlier work on the same
+	// engine are served from its cache. Nil runs the sweep on an uncached
+	// engine with the engine.Options defaults.
 	Engine *engine.Engine
-	// Workers bounds parallelism (≤0: GOMAXPROCS). Ignored when Engine is
-	// set.
-	Workers int
-	// Retry governs re-attempts of failing or panicking evaluations; the
-	// zero value selects robust.DefaultRetry (3 attempts, exponential
-	// backoff with jitter). Ignored when Engine is set.
-	Retry robust.RetryPolicy
-	// Timeout bounds the whole sweep's wall time (0: none). It stacks
-	// with whatever deadline the caller's context already carries.
-	Timeout time.Duration
 	// CheckpointPath enables periodic JSON checkpointing of completed
 	// values to this file (written atomically via rename). Empty disables.
 	CheckpointPath string
@@ -173,12 +163,6 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		sweepSp.Finish()
 	}()
 
-	if opts.Timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-		defer cancel()
-	}
-
 	// Resume: restore completed indices from the checkpoint.
 	done := make(map[int]bool)
 	if opts.Resume && opts.CheckpointPath != "" {
@@ -228,13 +212,7 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 		// machinery, but no memoization (indices within one sweep are
 		// unique, so a private cache could never hit) and a registry of
 		// its own.
-		eng = engine.New(engine.Options{
-			Workers:   opts.Workers,
-			CacheSize: -1,
-			Retry:     opts.Retry,
-			Seed:      0x5eed ^ uint64(len(indices)),
-			Tracer:    tr,
-		})
+		eng = engine.New(engine.Options{CacheSize: -1, Tracer: tr})
 	}
 
 	// The plane is one flat slab sliced per point: a single allocation

@@ -76,8 +76,8 @@ func chunkSize(n, workers int) int {
 // computeChunk is computeInner for a chunk's misses: one guarded,
 // retried EvaluateBatch call over pts[i] for every i in miss, writing
 // outs[i]. It is metered like computeInner: evaluations and failures
-// counted per point, the batch call's wall time observed once in the
-// eval-seconds histogram, retries counted per extra attempt.
+// counted per point, one eval-seconds observation per raw evaluation,
+// retries counted per extra attempt.
 func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]float64, miss []int, outs []Outcome) {
 	batch := make([][]float64, len(miss))
 	for j, i := range miss {
@@ -99,7 +99,7 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency histogram only, never the evaluated values
 	// One histogram observation per raw evaluation (the amortized
 	// per-point latency), so the eval-seconds count tracks the
-	// evaluations counter exactly as computeInner's does.
+	// evaluations counter, as on computeInner's path.
 	evals := uint64(len(batch)) * uint64(attempts)
 	if evals > 0 {
 		e.obs.evalSeconds.ObserveN(elapsed.Seconds()/float64(evals), evals)

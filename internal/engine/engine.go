@@ -92,10 +92,9 @@ type Options struct {
 	// in-flight deduplication).
 	CacheSize int
 	// Retry governs re-attempts of failing or panicking evaluations; the
-	// zero value selects robust.DefaultRetry.
+	// zero value selects robust.DefaultRetry. Its backoff jitter runs on
+	// a fixed seed.
 	Retry robust.RetryPolicy
-	// Seed drives the retry jitter (0: fixed default).
-	Seed uint64
 	// Tracer records an engine.eval span per raw computation (nil:
 	// tracing disabled at a single branch's cost).
 	Tracer *obs.Tracer
@@ -217,7 +216,7 @@ func New(opts Options) *Engine {
 	e := &Engine{
 		workers:  workers,
 		retry:    opts.Retry,
-		rng:      robust.NewRNG(opts.Seed),
+		rng:      robust.NewRNG(0),
 		sem:      make(chan struct{}, workers),
 		gate:     opts.Gate,
 		inflight: make(map[uint64]*call),
@@ -465,7 +464,11 @@ func (e *Engine) computeInner(ctx context.Context, ev robust.Evaluator, point []
 		return err2
 	})
 	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency histogram only, never the evaluated value
-	e.obs.evalSeconds.Observe(elapsed.Seconds())
+	// One histogram observation per raw evaluation (the amortized
+	// per-attempt latency), as computeChunk does.
+	if attempts > 0 {
+		e.obs.evalSeconds.ObserveN(elapsed.Seconds()/float64(attempts), uint64(attempts))
+	}
 	if attempts > 1 {
 		e.obs.retries.Add(uint64(attempts - 1))
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/robust"
 )
 
@@ -265,6 +266,49 @@ func TestTransientFailureRetriedThenCached(t *testing.T) {
 	}
 	if st := e.Stats(); st.Retries != 2 || st.Failures != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestEvalSecondsCountsEveryEvaluation fails one point twice before it
+// succeeds, on the scalar and on the batched path: each observes
+// engine_eval_seconds once per raw evaluation.
+func TestEvalSecondsCountsEveryEvaluation(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		batched bool
+	}{
+		{"Func", false},
+		{"BatchFunc", true},
+	} {
+		var calls atomic.Int64
+		flaky := func(_ context.Context, p []float64) (float64, error) {
+			if calls.Add(1) < 3 {
+				return math.NaN(), errors.New("transient")
+			}
+			return p[0], nil
+		}
+		var ev robust.Evaluator = Func{FP: "flaky", F: flaky}
+		if tc.batched {
+			ev = BatchFunc{Func: Func{FP: "flaky", F: flaky}, B: func(ctx context.Context, pts [][]float64, out []float64) error {
+				for i, p := range pts {
+					v, err := flaky(ctx, p)
+					if err != nil {
+						return err
+					}
+					out[i] = v
+				}
+				return nil
+			}}
+		}
+		reg := obs.NewRegistry()
+		e := New(Options{Retry: robust.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond}, Metrics: reg})
+		if o := e.Do(context.Background(), ev, []float64{1}); o.Err != nil || o.Attempts != 3 {
+			t.Fatalf("%s: outcome = %+v, want success on attempt 3", tc.name, o)
+		}
+		evals := e.Stats().Evaluations
+		if got := reg.Histogram("engine_eval_seconds", nil).Count(); evals != 3 || got != evals {
+			t.Errorf("%s: engine_eval_seconds count = %d, evaluations = %d, want 3 and 3", tc.name, got, evals)
+		}
 	}
 }
 

@@ -87,7 +87,6 @@ func Fig12SimulationCountsCtx(ctx context.Context, sc Scale) (*tablefmt.Table, F
 	apsEng := engine.New(engine.Options{Workers: sc.Workers, CacheSize: sc.CacheSize})
 	apsRes, err := aps.RunCtx(ctx, m, space, eval, aps.Options{
 		Engine:   apsEng,
-		Workers:  sc.Workers,
 		Optimize: core.Options{MaxN: 64},
 	})
 	if err != nil {

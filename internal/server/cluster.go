@@ -188,8 +188,8 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, validationf("server: peer-eval carries no points"))
 		return
 	}
-	if len(req.Points) > s.opts.MaxBatchPoints {
-		s.fail(w, validationf("server: peer-eval of %d points exceeds the %d-point bound", len(req.Points), s.opts.MaxBatchPoints))
+	if len(req.Points) > MaxBatchPoints {
+		s.fail(w, validationf("server: peer-eval of %d points exceeds the %d-point bound", len(req.Points), MaxBatchPoints))
 		return
 	}
 	var ms ModelSpec

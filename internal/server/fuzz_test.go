@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"encoding/json"
 	"os"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/dse"
@@ -63,6 +66,73 @@ func FuzzJobStoreLoad(f *testing.F) {
 		}
 		if !bytes.Equal(before, after) {
 			t.Fatalf("round trip changed the record:\n%s\n%s", before, after)
+		}
+	})
+}
+
+// FuzzLoadTenantsFile holds the tenant table to all-or-nothing on
+// arbitrary file bytes: a table SetTenants rejects leaves TenantNames
+// unchanged, one it accepts installs exactly its tenants, and a table
+// that loads re-marshals to a file that loads equal configs.
+func FuzzLoadTenantsFile(f *testing.F) {
+	for _, seed := range []string{
+		`{"tenants":[{"name":"acme","key":"k1","weight":3,"rate_per_sec":2.5},{"name":"guest","key":""}]}`,
+		`{"tenants":[{"name":"a","key":"k","max_concurrent":2,"max_queue":4,"burst":8}]}`,
+		`{"tenants":[]}`,
+		`{"tenants":[{"name":"a","key":"k"},{"name":"a","key":"k2"}]}`,
+		`{"tenants":[{"name":"a","key":"k"},{"name":"b","key":"k"}]}`,
+		`{"tenants":[{"name":"jobs","key":"k"}]}`,
+		`{"tenants":[{"name":"a","key":"k","rate_per_sec":-1}]}`,
+		`{"tenants":[{"name":"a","key":"k","rate":5}]}`,
+		`{"tenants":[{"name":"a","key":"ka"}]}{"tenants":[{"name":"b","key":"kb"}]}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	known := []TenantConfig{{Name: "alice", Key: "ka"}, {Name: "bob", Key: "kb", Weight: 2}}
+	srv := New(Options{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := srv.SetTenants(known); err != nil {
+			t.Fatal(err)
+		}
+		before := srv.TenantNames()
+		path := filepath.Join(t.TempDir(), "tenants.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		configs, err := LoadTenantsFile(path)
+		if err != nil {
+			return
+		}
+		if err := srv.SetTenants(configs); err != nil {
+			if got := srv.TenantNames(); !reflect.DeepEqual(got, before) {
+				t.Fatalf("rejected table (%v) changed the tenants from %v to %v", err, before, got)
+			}
+		} else {
+			want := []string{AnonymousTenant}
+			if len(configs) > 0 {
+				want = want[:0]
+				for _, c := range configs {
+					want = append(want, c.Name)
+				}
+				sort.Strings(want)
+			}
+			if got := srv.TenantNames(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("accepted table installed tenants %v, want %v", got, want)
+			}
+		}
+		again, err := json.Marshal(tenantsFile{Tenants: configs})
+		if err != nil {
+			t.Fatalf("loaded table does not encode: %v", err)
+		}
+		if err := os.WriteFile(path, again, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		reloaded, err := LoadTenantsFile(path)
+		if err != nil {
+			t.Fatalf("re-marshalled table %s does not load: %v", again, err)
+		}
+		if !reflect.DeepEqual(reloaded, configs) {
+			t.Fatalf("round trip changed the table:\n%+v\n%+v", configs, reloaded)
 		}
 	})
 }

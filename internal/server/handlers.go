@@ -21,20 +21,30 @@ import (
 )
 
 // maxRequestBody bounds every request body read; the largest legitimate
-// payload (a full batch of DefaultMaxBatchPoints six-float points) stays
+// payload (a full batch of MaxBatchPoints six-float points) stays
 // well inside it.
 const maxRequestBody = 64 << 20
 
 // decodeJSON reads one JSON document from the request into v, rejecting
 // trailing garbage and unknown fields so client typos fail loudly.
 func decodeJSON(r *http.Request, v interface{}) error {
-	dec := json.NewDecoder(io.LimitReader(r.Body, maxRequestBody))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeStrict(io.LimitReader(r.Body, maxRequestBody), v); err != nil {
 		return validationf("server: decoding request: %v", err)
 	}
-	if dec.More() {
-		return validationf("server: trailing data after JSON document")
+	return nil
+}
+
+// decodeStrict decodes exactly one JSON document from rd into v: an
+// unknown field, or anything but whitespace after the document, is an
+// error.
+func decodeStrict(rd io.Reader, v interface{}) error {
+	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON document")
 	}
 	return nil
 }
@@ -265,8 +275,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, validationf("server: batch carries no points"))
 		return
 	}
-	if len(req.Points) > s.opts.MaxBatchPoints {
-		s.fail(w, validationf("server: batch of %d points exceeds the %d-point bound", len(req.Points), s.opts.MaxBatchPoints))
+	if len(req.Points) > MaxBatchPoints {
+		s.fail(w, validationf("server: batch of %d points exceeds the %d-point bound", len(req.Points), MaxBatchPoints))
 		return
 	}
 	fm, ev, err := s.resolveWork(req.Model, req.Evaluator)

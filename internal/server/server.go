@@ -50,8 +50,8 @@ import (
 	"repro/internal/obs"
 )
 
-// Default knobs of Options; exported so the CLI help and the docs quote
-// one source of truth.
+// Default knobs of Options and the server's fixed limits; exported so
+// the CLI help and the docs quote one source of truth.
 const (
 	// DefaultMaxQueueFactor sizes the admission wait queue as a multiple
 	// of the concurrency bound when Options.MaxQueue is zero.
@@ -60,22 +60,19 @@ const (
 	DefaultTimeout = 30 * time.Second
 	// DefaultMaxTimeout caps the ?timeout_ms a client may request.
 	DefaultMaxTimeout = 5 * time.Minute
-	// DefaultRetryAfter is the 429 Retry-After hint.
-	DefaultRetryAfter = 1 * time.Second
-	// DefaultMaxBatchPoints bounds the points of one batch request.
-	DefaultMaxBatchPoints = 1 << 17
+	// RetryAfter is the Retry-After hint of an admission 429.
+	RetryAfter = 1 * time.Second
+	// MaxBatchPoints bounds the points of one batch or peer-eval request.
+	MaxBatchPoints = 1 << 17
 )
 
 // Options configures a new Server.
 type Options struct {
-	// Engine is the shared evaluation service behind every endpoint. Nil
-	// builds one from Workers and CacheSize.
-	Engine *engine.Engine
-	// Workers bounds engine parallelism when Engine is nil (≤0:
+	// Workers bounds the parallelism of the server's engine (≤0:
 	// GOMAXPROCS).
 	Workers int
-	// CacheSize is the private engine's memo capacity when Engine is nil
-	// (0: engine default).
+	// CacheSize is the engine's memo capacity in entries (0: the engine
+	// default; negative disables caching).
 	CacheSize int
 
 	// MaxConcurrent bounds concurrently admitted work requests (≤0: the
@@ -85,18 +82,12 @@ type Options struct {
 	// DefaultMaxQueueFactor × MaxConcurrent). Beyond it the server sheds
 	// with 429 + Retry-After.
 	MaxQueue int
-	// RetryAfter is the hint shed responses carry (≤0: DefaultRetryAfter).
-	RetryAfter time.Duration
 
 	// Timeout is the per-request evaluation deadline when the client
 	// names none (≤0: DefaultTimeout).
 	Timeout time.Duration
 	// MaxTimeout caps the client's ?timeout_ms (≤0: DefaultMaxTimeout).
 	MaxTimeout time.Duration
-
-	// MaxBatchPoints bounds one batch request's point count (≤0:
-	// DefaultMaxBatchPoints).
-	MaxBatchPoints int
 
 	// CheckpointDir enables sweep checkpoint/resume: requests name a
 	// checkpoint file (sanitized, no path separators) inside this
@@ -115,9 +106,6 @@ type Options struct {
 	// state at startup are adopted and resumed from their checkpoints.
 	// Empty disables the endpoints (404).
 	JobDir string
-
-	// Catalog is the named model registry (nil: DefaultCatalog).
-	Catalog *Catalog
 
 	// Cluster joins this server to a peer tier (internal/cluster): each
 	// (fingerprint, point) key is routed to its ring owner, remote-owned
@@ -167,7 +155,6 @@ type Server struct {
 	tracer  *obs.Tracer
 	metrics *obs.Registry
 	adm     *fairShare
-	gate    *fairShare
 	tenants *tenants
 	jobs    *jobManager
 	mux     *http.ServeMux
@@ -193,32 +180,29 @@ type Server struct {
 	nextID  uint64
 }
 
-// New builds a Server, its engine (when not shared) and its routes.
+// New builds a Server, its engine and its routes. The engine counts in
+// Options.Metrics, is sized by Options.Workers and CacheSize, and runs
+// behind a per-tenant fair-share gate; every endpoint evaluates on it.
 // Invalid Options.Tenants panic (construction-time programmer error);
 // use SetTenants for checked runtime swaps.
 func New(opts Options) *Server {
-	eng := opts.Engine
 	metrics := opts.Metrics
 	if metrics == nil {
 		metrics = obs.NewRegistry()
 	}
 	ts := newTenants(metrics)
-	var gate *fairShare
-	if eng == nil {
-		// The point-level fair-share gate arbitrates the private engine's
-		// worker pool per tenant; its capacity is set once the engine has
-		// resolved its worker count. A caller-supplied engine keeps its own
-		// scheduling (it may be shared beyond this server).
-		gate = newFairShare(1, false, 0, 0)
-		eng = engine.New(engine.Options{
-			Workers:   opts.Workers,
-			CacheSize: opts.CacheSize,
-			Tracer:    opts.Tracer,
-			Metrics:   metrics,
-			Gate:      &engineGate{fs: gate, ts: ts},
-		})
-		gate.setCapacity(eng.Workers())
-	}
+	// The point-level fair-share gate arbitrates the engine's worker pool
+	// per tenant; its capacity is set once the engine has resolved its
+	// worker count.
+	gate := newFairShare(1, false, 0, 0)
+	eng := engine.New(engine.Options{
+		Workers:   opts.Workers,
+		CacheSize: opts.CacheSize,
+		Tracer:    opts.Tracer,
+		Metrics:   metrics,
+		Gate:      &engineGate{fs: gate, ts: ts},
+	})
+	gate.setCapacity(eng.Workers())
 	maxConc := opts.MaxConcurrent
 	if maxConc <= 0 {
 		maxConc = eng.Workers()
@@ -227,31 +211,20 @@ func New(opts Options) *Server {
 	if maxQueue <= 0 {
 		maxQueue = DefaultMaxQueueFactor * maxConc
 	}
-	if opts.RetryAfter <= 0 {
-		opts.RetryAfter = DefaultRetryAfter
-	}
 	if opts.Timeout <= 0 {
 		opts.Timeout = DefaultTimeout
 	}
 	if opts.MaxTimeout <= 0 {
 		opts.MaxTimeout = DefaultMaxTimeout
 	}
-	if opts.MaxBatchPoints <= 0 {
-		opts.MaxBatchPoints = DefaultMaxBatchPoints
-	}
-	catalog := opts.Catalog
-	if catalog == nil {
-		catalog = DefaultCatalog()
-	}
 	s := &Server{
 		opts:    opts,
 		eng:     eng,
 		cluster: opts.Cluster,
-		catalog: catalog,
+		catalog: DefaultCatalog(),
 		tracer:  opts.Tracer,
 		metrics: metrics,
 		adm:     newFairShare(maxConc, true, maxQueue, maxQueue),
-		gate:    gate,
 		tenants: ts,
 		mux:     http.NewServeMux(),
 		cancels: make(map[uint64]context.CancelFunc),
@@ -308,7 +281,7 @@ func (s *Server) SetTenants(configs []TenantConfig) error {
 // TenantNames lists the configured tenant names, sorted.
 func (s *Server) TenantNames() []string { return s.tenants.namesSnapshot() }
 
-// Engine returns the server's evaluation engine (shared or private).
+// Engine returns the server's evaluation engine.
 func (s *Server) Engine() *engine.Engine { return s.eng }
 
 // Metrics returns the registry backing /metrics.
@@ -509,7 +482,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request, t *tenantState, q
 	release, err := s.adm.acquire(r.Context(), t)
 	queueWait.Observe(time.Since(queued).Seconds())
 	if err == errSaturated {
-		s.shedTenant(w, t, retryAfterSeconds(s.opts.RetryAfter),
+		s.shedTenant(w, t, retryAfterSeconds(RetryAfter),
 			ErrorBody{Code: CodeOverloaded, Message: "admission queue full; retry later"})
 		return nil, false
 	}

@@ -355,13 +355,53 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Fatalf("timed out waiting for %s", what)
 }
 
+// TestDecodeRejectsTrailingData posts a valid evaluate body followed by
+// trailing bytes: a stray closing bracket or a second document is a 400,
+// trailing whitespace is not.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	body, err := json.Marshal(EvaluateRequest{Model: ModelSpec{App: "tmm"}, Point: testPoints(t, 1)[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		trailer string
+		status  int
+	}{
+		{"}", http.StatusBadRequest},
+		{"]", http.StatusBadRequest},
+		{"{}", http.StatusBadRequest},
+		{"1", http.StatusBadRequest},
+		{" \n\t", http.StatusOK},
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/v1/evaluate", "application/json", strings.NewReader(string(body)+tc.trailer))
+		if err != nil {
+			t.Fatalf("POST: %v", err)
+		}
+		if resp.StatusCode != tc.status {
+			resp.Body.Close()
+			t.Fatalf("body + %q: status = %d, want %d", tc.trailer, resp.StatusCode, tc.status)
+		}
+		if tc.status != http.StatusOK {
+			var env struct {
+				Error ErrorBody `json:"error"`
+			}
+			decodeBody(t, resp, &env)
+			if env.Error.Code != CodeValidation {
+				t.Fatalf("body + %q: code = %q, want %q", tc.trailer, env.Error.Code, CodeValidation)
+			}
+			continue
+		}
+		resp.Body.Close()
+	}
+}
+
 // TestAdmissionShedsWith429 saturates a MaxConcurrent=1, MaxQueue=1
 // server and checks the third request is shed with 429 + Retry-After.
 func TestAdmissionShedsWith429(t *testing.T) {
 	s, ts := newTestServer(t, Options{
 		MaxConcurrent: 1,
 		MaxQueue:      1,
-		RetryAfter:    3 * time.Second,
 	})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -381,8 +421,8 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429", resp.StatusCode)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "3" {
-		t.Fatalf("Retry-After = %q, want %q", ra, "3")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Fatalf("Retry-After = %q, want %q", ra, "1")
 	}
 	var env struct {
 		Error ErrorBody `json:"error"`

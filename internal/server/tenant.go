@@ -1,8 +1,8 @@
 package server
 
 import (
+	"bytes"
 	"context"
-	"encoding/json"
 	"math"
 	"net/http"
 	"os"
@@ -108,9 +108,7 @@ func LoadTenantsFile(path string) ([]TenantConfig, error) {
 		return nil, err
 	}
 	var f tenantsFile
-	dec := json.NewDecoder(strings.NewReader(string(data)))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&f); err != nil {
+	if err := decodeStrict(bytes.NewReader(data), &f); err != nil {
 		return nil, validationf("server: tenants file %s: %v", path, err)
 	}
 	return f.Tenants, nil

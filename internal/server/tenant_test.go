@@ -82,6 +82,24 @@ func TestLoadTenantsFile(t *testing.T) {
 	}
 }
 
+// TestLoadTenantsFileRejectsTrailingDocument loads a file holding two
+// tables: the second must fail the load, not vanish.
+func TestLoadTenantsFileRejectsTrailingDocument(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenants.json")
+	for _, body := range []string{
+		`{"tenants":[{"name":"a","key":"ka"}]}{"tenants":[{"name":"b","key":"kb"}]}`,
+		`{"tenants":[{"name":"a","key":"ka"}]}]`,
+		`{"tenants":[{"name":"a","key":"ka"}]}}`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		if configs, err := LoadTenantsFile(path); err == nil {
+			t.Errorf("%s: loaded %+v with a nil error", body, configs)
+		}
+	}
+}
+
 func TestTenantTokenBucket(t *testing.T) {
 	ten := testTenant(t, TenantConfig{Name: "acme", RatePerSec: 2, Burst: 2})
 	now := time.Unix(1000, 0)

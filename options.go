@@ -2,11 +2,9 @@ package c2bound
 
 import (
 	"context"
-	"time"
 
 	"repro/internal/aps"
 	"repro/internal/dse"
-	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -38,30 +36,27 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // points. The With* options below mutate it; each entry point lowers it
 // onto the specific option structs of the internal layers.
 type runConfig struct {
-	engine     *Engine
-	tracer     *Tracer
-	metrics    *Metrics
-	workers    int
-	cache      int
-	retry      RetryPolicy
-	timeout    time.Duration
-	checkpoint string
-	every      int
-	resume     bool
-	radius     int
-	metric     aps.Metric
-	optimize   OptimizeOptions
+	engine   *Engine
+	tracer   *Tracer
+	metrics  *Metrics
+	sweep    dse.SweepOptions // checkpoint/resume only; Engine is set per call
+	radius   int
+	metric   aps.Metric
+	optimize OptimizeOptions
 }
 
 // Option configures a v2 entry point (Sweep, RunAPS, Optimize).
 type Option func(*runConfig)
 
-// WithEngine routes every evaluation through a shared engine, so
-// overlapping work across calls (an APS run after a ground-truth sweep)
-// reuses the memo cache. The engine's worker bound and retry policy win
-// over WithWorkers/WithRetry. A shared engine resolves its instruments
-// once at construction — pass the same tracer/registry in EngineOptions
-// to see its evaluations in the call's trace and metrics.
+// WithEngine runs the call on e; its EngineOptions are the only place to
+// set the worker bound, cache size and retry policy (CacheSize: -1 for
+// an uncached sweep). A shared engine lets overlapping work across calls
+// (an APS run after a ground-truth sweep) reuse the memo cache. Without
+// it Sweep runs on an uncached default engine, RunAPS and OptimizeFamily
+// on a private caching one, and Optimize evaluates directly. An engine
+// resolves its instruments once at construction — pass the same
+// tracer/registry in EngineOptions to see its evaluations in the call's
+// trace and metrics.
 func WithEngine(e *Engine) Option { return func(c *runConfig) { c.engine = e } }
 
 // WithTracer records spans for the call (and attaches the tracer to the
@@ -69,41 +64,22 @@ func WithEngine(e *Engine) Option { return func(c *runConfig) { c.engine = e } }
 func WithTracer(t *Tracer) Option { return func(c *runConfig) { c.tracer = t } }
 
 // WithMetrics counts the call's dse_*, aps_* and sim_* work in r (see
-// DESIGN.md §9 for the naming scheme). Its engine_* counts land in r
-// only when WithCacheSize builds the call's engine: a WithEngine engine
-// counts in its own EngineOptions.Metrics, and any other engine the
-// call builds counts in a registry of its own.
+// DESIGN.md §9 for the naming scheme). Its engine_* counts land in the
+// engine's own registry: a WithEngine engine counts in its
+// EngineOptions.Metrics (pass r there to see them here), and an engine
+// the call builds counts in a registry of its own.
 func WithMetrics(r *Metrics) Option { return func(c *runConfig) { c.metrics = r } }
-
-// WithWorkers bounds evaluation parallelism (≤0: GOMAXPROCS). Ignored
-// when WithEngine is set.
-func WithWorkers(n int) Option { return func(c *runConfig) { c.workers = n } }
-
-// WithCacheSize gives the call a private memoizing engine of the given
-// capacity in entries (0 picks the engine default; ignored when
-// WithEngine supplies one). Without this option Sweep runs uncached —
-// indices within one sweep are unique — while RunAPS and Optimize still
-// share a private per-call cache.
-func WithCacheSize(n int) Option { return func(c *runConfig) { c.cache = n } }
-
-// WithRetry re-attempts failing or panicking evaluations under p.
-// Ignored when WithEngine is set (the engine's policy wins).
-func WithRetry(p RetryPolicy) Option { return func(c *runConfig) { c.retry = p } }
-
-// WithTimeout bounds the call's wall time; it stacks with any deadline
-// the context already carries.
-func WithTimeout(d time.Duration) Option { return func(c *runConfig) { c.timeout = d } }
 
 // WithCheckpoint persists sweep progress to path (atomic rename) every
 // `every` completed evaluations (≤0 picks the default cadence), so an
 // interrupted exploration can resume.
 func WithCheckpoint(path string, every int) Option {
-	return func(c *runConfig) { c.checkpoint, c.every = path, every }
+	return func(c *runConfig) { c.sweep.CheckpointPath, c.sweep.CheckpointEvery = path, every }
 }
 
 // WithResume restores completed indices from the WithCheckpoint file
 // before sweeping, skipping everything it already covers.
-func WithResume() Option { return func(c *runConfig) { c.resume = true } }
+func WithResume() Option { return func(c *runConfig) { c.sweep.Resume = true } }
 
 // WithRadius widens the APS simulated neighborhood around the analytic
 // optimum in the A0/A1/A2/N dimensions (0 reproduces the paper's
@@ -139,25 +115,6 @@ func (c *runConfig) context(ctx context.Context) context.Context {
 	return ctx
 }
 
-// engineFor resolves the call's engine: the shared one when supplied, a
-// private memoizing engine when WithCacheSize asked for one, nil
-// otherwise (the internal layers then build their own defaults).
-func (c *runConfig) engineFor() *Engine {
-	if c.engine != nil {
-		return c.engine
-	}
-	if c.cache != 0 {
-		return engine.New(engine.Options{
-			Workers:   c.workers,
-			CacheSize: c.cache,
-			Retry:     c.retry,
-			Tracer:    c.tracer,
-			Metrics:   c.metrics,
-		})
-	}
-	return nil
-}
-
 // Sweep brute-forces every point of a space through the hardened
 // evaluation pipeline — cancellation, retries, panic isolation, optional
 // checkpoint/resume and observability — and returns the dense value
@@ -166,15 +123,8 @@ func (c *runConfig) engineFor() *Engine {
 // This is the ground-truth path.
 func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) ([]float64, SweepReport, error) {
 	c := newRunConfig(opts)
-	return dse.SweepCtx(c.context(ctx), e, s, nil, dse.SweepOptions{
-		Engine:          c.engineFor(),
-		Workers:         c.workers,
-		Retry:           c.retry,
-		Timeout:         c.timeout,
-		CheckpointPath:  c.checkpoint,
-		CheckpointEvery: c.every,
-		Resume:          c.resume,
-	})
+	c.sweep.Engine = c.engine
+	return dse.SweepCtx(c.context(ctx), e, s, nil, c.sweep)
 }
 
 // RunAPS executes the Analysis-Plus-Simulation flow: solve the analytic
@@ -185,18 +135,11 @@ func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) (
 func RunAPS(ctx context.Context, m Model, space DesignSpace, eval CtxEvaluator, opts ...Option) (APSResult, error) {
 	c := newRunConfig(opts)
 	return aps.RunCtx(c.context(ctx), m, space, eval, aps.Options{
-		Engine:   c.engineFor(),
+		Engine:   c.engine,
 		Radius:   c.radius,
-		Workers:  c.workers,
 		Metric:   c.metric,
 		Optimize: c.optimize,
-		Sweep: dse.SweepOptions{
-			Retry:           c.retry,
-			Timeout:         c.timeout,
-			CheckpointPath:  c.checkpoint,
-			CheckpointEvery: c.every,
-			Resume:          c.resume,
-		},
+		Sweep:    c.sweep,
 	})
 }
 
@@ -208,7 +151,7 @@ func Optimize(ctx context.Context, m Model, opts ...Option) (OptimizeResult, err
 	c := newRunConfig(opts)
 	optOpts := c.optimize
 	if optOpts.Engine == nil {
-		optOpts.Engine = c.engineFor()
+		optOpts.Engine = c.engine
 	}
 	return m.OptimizeCtx(c.context(ctx), optOpts)
 }
