@@ -84,6 +84,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzAnalyze -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzSerializeIdempotent -fuzztime 10s ./internal/camat
 	$(GO) test -run XXX -fuzz FuzzDetectorMatchesBatch -fuzztime 10s ./internal/detector
+	$(GO) test -run XXX -fuzz FuzzTrackerMatchesUnion -fuzztime 10s ./internal/apc
 	$(GO) test -run XXX -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/engine
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/dse
 	$(GO) test -run XXX -fuzz FuzzJobStoreLoad -fuzztime 10s ./internal/server

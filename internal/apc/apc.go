@@ -11,7 +11,9 @@ import "sort"
 type interval struct{ start, end int64 }
 
 // Tracker accumulates a layer's busy intervals and access count.
-// It is not safe for concurrent use.
+// It is not safe for concurrent use. Add merges in place, so once the
+// open set's slice has grown to the lateness window's size a tracker
+// allocates nothing per access.
 type Tracker struct {
 	accesses uint64
 	flushed  int64 // active cycles from intervals already retired
@@ -51,8 +53,15 @@ func (t *Tracker) Add(start, end int64) {
 			end = t.open[j-1].end
 		}
 	}
-	merged := append(t.open[:i:i], interval{start, end})
-	t.open = append(merged, t.open[j:]...)
+	// Splice the merged interval over [i, j) in place.
+	switch {
+	case i == j:
+		t.open = append(t.open, interval{})
+		copy(t.open[i+1:], t.open[i:])
+	case j > i+1:
+		t.open = append(t.open[:i+1], t.open[j:]...)
+	}
+	t.open[i] = interval{start, end}
 
 	// Retire intervals no future access can extend.
 	if len(t.open) > 64 {

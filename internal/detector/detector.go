@@ -13,43 +13,37 @@
 package detector
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/camat"
 	"repro/internal/sim/cache"
 )
 
-// missWindow tracks one outstanding miss's penalty interval and the
-// pure-miss cycles observed inside it.
-type missWindow struct {
-	pure int64
-}
+// Event operations at a cycle boundary.
+const (
+	opHitStart uint8 = iota
+	opHitEnd
+	opMissStart
+	opMissEnd
+)
 
-// cycleEvents is everything that changes at one cycle boundary.
-type cycleEvents struct {
-	dHit      int
-	missStart []*missWindow
-	missEnd   []*missWindow
-}
-
-// cycleHeap orders pending event cycles.
-type cycleHeap []int64
-
-func (h cycleHeap) Len() int            { return len(h) }
-func (h cycleHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h cycleHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *cycleHeap) Push(x interface{}) { *h = append(*h, x.(int64)) }
-func (h *cycleHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// event is one change at a cycle boundary: a hit window opening or
+// closing, or miss window win opening or closing. Events of one cycle
+// may apply in any order, because nothing is accounted between them.
+type event struct {
+	cycle int64
+	win   int32 // index into Detector.wins (miss events only); int32 keeps an event at 16 bytes
+	op    uint8
 }
 
 // Detector is the online C-AMAT analyzer for one cache level. It is not
 // safe for concurrent use; attach one per core (or per monitored cache).
+//
+// Like the hardware tables of Fig. 4 it allocates nothing per access
+// once warm: pending events sit in a min-heap over one slice, and each
+// outstanding miss holds a slot of the reused wins table, found again
+// through the free list when the miss retires. The retained state is the
+// events and misses within the lateness window.
 type Detector struct {
 	// Lateness bounds how far behind the newest observed start an
 	// access's start cycle may lag; events older than the watermark are
@@ -58,9 +52,13 @@ type Detector struct {
 	// default of 1<<22 cycles is far beyond safe.
 	lateness int64
 
-	events  map[int64]*cycleEvents
-	pending cycleHeap
-	active  []*missWindow
+	pending []event // min-heap on cycle
+	// wins holds, per open miss window, the pure-miss cycle count when
+	// the window opened: every pure-miss cycle charges every open window,
+	// so a window's own pure cycles are the count's growth until it
+	// closes. free lists the slots of retired windows.
+	wins []int64
+	free []int32
 
 	cursor    int64 // sweep has consumed cycles < cursor
 	hitCount  int
@@ -93,10 +91,7 @@ func WithLateness(cycles int64) Option {
 
 // New builds a detector.
 func New(opts ...Option) *Detector {
-	d := &Detector{
-		lateness: 1 << 22,
-		events:   make(map[int64]*cycleEvents),
-	}
+	d := &Detector{lateness: 1 << 22}
 	for _, o := range opts {
 		o(d)
 	}
@@ -156,16 +151,21 @@ func (d *Detector) Record(start int64, hitCycles int, missPenalty int64) error {
 	d.hitSum += int64(hitCycles)
 
 	hitEnd := start + int64(hitCycles)
-	d.addEvent(start).dHit++
-	d.addEvent(hitEnd).dHit--
+	d.push(event{cycle: start, op: opHitStart})
+	d.push(event{cycle: hitEnd, op: opHitEnd})
 	if missPenalty > 0 {
 		d.misses++
 		d.perMissCyc += missPenalty
-		w := &missWindow{}
-		s := d.addEvent(hitEnd)
-		s.missStart = append(s.missStart, w)
-		e := d.addEvent(hitEnd + missPenalty)
-		e.missEnd = append(e.missEnd, w)
+		var w int32
+		if n := len(d.free); n > 0 {
+			w = d.free[n-1]
+			d.free = d.free[:n-1]
+		} else {
+			w = int32(len(d.wins))
+			d.wins = append(d.wins, 0)
+		}
+		d.push(event{cycle: hitEnd, win: w, op: opMissStart})
+		d.push(event{cycle: hitEnd + missPenalty, win: w, op: opMissEnd})
 	}
 	// Sweep everything that can no longer be affected by future records:
 	// cycles below maxStart − lateness.
@@ -173,37 +173,112 @@ func (d *Detector) Record(start int64, hitCycles int, missPenalty int64) error {
 	return nil
 }
 
-func (d *Detector) addEvent(cycle int64) *cycleEvents {
-	ev, ok := d.events[cycle]
-	if !ok {
-		ev = &cycleEvents{}
-		d.events[cycle] = ev
-		heap.Push(&d.pending, cycle)
+// push adds e to the pending heap.
+func (d *Detector) push(e event) {
+	h := append(d.pending, e)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if h[p].cycle <= e.cycle {
+			break
+		}
+		h[i] = h[p]
+		i = p
 	}
-	return ev
+	h[i] = e
+	d.pending = h
+}
+
+// pop removes and returns the earliest pending event.
+func (d *Detector) pop() event {
+	h := d.pending
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h = h[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && h[c+1].cycle < h[c].cycle {
+			c++
+		}
+		if last.cycle <= h[c].cycle {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	if n > 0 {
+		h[i] = last
+	}
+	d.pending = h
+	return top
+}
+
+// sortPending orders the pending events by cycle: an LSD radix sort, 8
+// bits a pass, on each event's offset from the heap's root. A sorted
+// slice is still a heap.
+func (d *Detector) sortPending() {
+	h := d.pending
+	if len(h) < 2 {
+		return
+	}
+	lo := h[0].cycle
+	var span uint64
+	for _, e := range h {
+		span = max(span, uint64(e.cycle-lo))
+	}
+	buf := make([]event, len(h))
+	for shift := 0; shift < 64 && span>>shift > 0; shift += 8 {
+		var at [257]int
+		for _, e := range h {
+			at[uint64(e.cycle-lo)>>shift&0xff+1]++
+		}
+		for k := 1; k < len(at); k++ {
+			at[k] += at[k-1]
+		}
+		for _, e := range h {
+			k := uint64(e.cycle-lo) >> shift & 0xff
+			buf[at[k]] = e
+			at[k]++
+		}
+		h, buf = buf, h
+	}
+	d.pending = h
 }
 
 // sweep consumes events with cycle < limit, accumulating interval
 // statistics between consecutive event cycles.
 func (d *Detector) sweep(limit int64) {
-	for len(d.pending) > 0 && d.pending[0] < limit {
-		cycle := d.pending[0]
-		// Account the interval [cursor, cycle) under the current state.
-		d.accumulate(cycle - d.cursor)
-		d.cursor = cycle
+	for len(d.pending) > 0 && d.pending[0].cycle < limit {
+		d.apply(d.pop())
+	}
+}
 
-		heap.Pop(&d.pending)
-		ev := d.events[cycle]
-		delete(d.events, cycle)
-		d.hitCount += ev.dHit
-		for _, w := range ev.missStart {
-			d.active = append(d.active, w)
-			d.missCount++
+// apply accounts the interval [cursor, ev.cycle) under the current state,
+// then applies ev.
+func (d *Detector) apply(ev event) {
+	d.accumulate(ev.cycle - d.cursor)
+	d.cursor = ev.cycle
+	switch ev.op {
+	case opHitStart:
+		d.hitCount++
+	case opHitEnd:
+		d.hitCount--
+	case opMissStart:
+		d.missCount++
+		d.wins[ev.win] = d.pureCycles
+	case opMissEnd:
+		d.missCount--
+		// Retire the window and finalize its pure-miss attribution.
+		if pure := d.pureCycles - d.wins[ev.win]; pure > 0 {
+			d.pureMisses++
+			d.perPureCyc += pure
 		}
-		for _, w := range ev.missEnd {
-			d.missCount--
-			d.finishWindow(w)
-		}
+		d.free = append(d.free, ev.win)
 	}
 }
 
@@ -227,25 +302,6 @@ func (d *Detector) accumulate(dur int64) {
 	if missActive && !hitActive {
 		d.pureCycles += dur
 		d.pureAct += dur * int64(d.missCount)
-		for _, w := range d.active {
-			w.pure += dur
-		}
-	}
-}
-
-// finishWindow retires a miss window from the active set and finalizes its
-// pure-miss attribution.
-func (d *Detector) finishWindow(w *missWindow) {
-	for i, a := range d.active {
-		if a == w {
-			d.active[i] = d.active[len(d.active)-1]
-			d.active = d.active[:len(d.active)-1]
-			break
-		}
-	}
-	if w.pure > 0 {
-		d.pureMisses++
-		d.perPureCyc += w.pure
 	}
 }
 
@@ -253,7 +309,16 @@ func (d *Detector) finishWindow(w *missWindow) {
 // The detector may continue to receive records afterwards only if no new
 // record starts before the flushed frontier.
 func (d *Detector) Finalize() camat.Analysis {
-	d.sweep(1<<62 - 1)
+	// Everything below the frontier retires now. At the default lateness
+	// that is most of a run's events, and one radix sort orders them far
+	// faster than popping the heap entry by entry; events of one cycle
+	// commute, so their order among themselves does not matter.
+	d.sortPending()
+	n := 0
+	for ; n < len(d.pending) && d.pending[n].cycle < 1<<62-1; n++ {
+		d.apply(d.pending[n])
+	}
+	d.pending = append(d.pending[:0], d.pending[n:]...)
 	an := camat.Analysis{
 		Accesses:                d.accesses,
 		Misses:                  d.misses,

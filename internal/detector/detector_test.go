@@ -197,16 +197,61 @@ func TestObserveReturnsErrorNotPanic(t *testing.T) {
 }
 
 func TestIncrementalSweepBoundsMemory(t *testing.T) {
+	// Records arrive every 4 cycles, each spanning at most 3+6 cycles, so
+	// a 100-cycle lateness window holds about 28 records: at most 4 events
+	// and one miss window each.
 	d := New(WithLateness(100))
+	maxPending, maxWins := 0, 0
 	for i := 0; i < 100000; i++ {
 		d.Record(int64(i*4), 3, int64(i%7))
+		maxPending = max(maxPending, len(d.pending))
+		maxWins = max(maxWins, len(d.wins))
 	}
-	if len(d.events) > 1000 {
-		t.Fatalf("detector retained %d event cycles; sweep not incremental", len(d.events))
+	t.Logf("peak: %d pending events, %d miss-window slots", maxPending, maxWins)
+	if maxPending > 4*30 {
+		t.Fatalf("detector retained %d pending events; sweep not incremental", maxPending)
+	}
+	if maxWins > 30 {
+		t.Fatalf("detector holds %d miss-window slots; retired windows not reused", maxWins)
 	}
 	an := d.Finalize()
 	if an.Accesses != 100000 {
 		t.Fatalf("accesses = %d", an.Accesses)
+	}
+	if len(d.pending) != 0 || len(d.free) != len(d.wins) {
+		t.Fatalf("after Finalize: %d pending events, %d of %d miss windows free", len(d.pending), len(d.free), len(d.wins))
+	}
+}
+
+func TestFinalizeSortsWideSpans(t *testing.T) {
+	// Finalize radix-sorts what is pending, 8 bits a pass over each
+	// event's offset from the earliest; starts here run from negative
+	// cycles to beyond 2^40, with ties, so every pass count is exercised,
+	// and gaps beyond the lateness window retire events before Finalize
+	// too.
+	var tr []camat.Access
+	start := int64(-1 << 20)
+	x := uint64(7)
+	for i := 0; i < 3000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		if i%5 != 0 { // every fifth access shares its predecessor's start
+			start += int64(x % (1 << (x >> 58 % 42)))
+		}
+		tr = append(tr, camat.Access{Start: start, HitCycles: 1 + int(x%3), MissPenalty: int(x >> 8 % 300)})
+	}
+	want, err := camat.Analyze(tr)
+	if err != nil {
+		t.Fatalf("Analyze: %v", err)
+	}
+	d := New()
+	feed(d, tr)
+	if got := d.Finalize(); !analysesEqual(got, want) {
+		t.Fatalf("detector %+v\n!= batch %+v", got, want)
+	}
+	if d.LateRecords() != 0 {
+		t.Fatalf("late records: %d", d.LateRecords())
 	}
 }
 

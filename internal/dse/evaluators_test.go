@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/chip"
+	"repro/internal/sim"
 )
 
 func TestBestEdgeCases(t *testing.T) {
@@ -61,6 +62,42 @@ func TestSimEvaluatorFaultScoresNaN(t *testing.T) {
 	bad := []float64{40, 10, 40, 32, 4, 128}
 	if !math.IsInf(ev.Evaluate(bad), 1) {
 		t.Fatal("infeasible point not +Inf")
+	}
+}
+
+// TestSimRunAllocationsPerReference pins the simulator allocation-free at
+// the size one aps-sim design runs: fluidanimate, 50,000 references split
+// over the cores of the first, middle and last designs of the per=3 space
+// (3, 8 and 32 cores). What a run still allocates is per run or per core
+// (traces, caches, the heaps' and tables' growth), not per reference.
+func TestSimRunAllocationsPerReference(t *testing.T) {
+	const refs = 50000
+	ev, err := NewSimEvaluator(chip.DefaultConfig(), "fluidanimate", 1<<22, 2, refs, 17)
+	if err != nil {
+		t.Fatalf("NewSimEvaluator: %v", err)
+	}
+	space, err := ReducedSpace(ev.Chip, 3)
+	if err != nil {
+		t.Fatalf("ReducedSpace: %v", err)
+	}
+	ctx := context.Background()
+	for _, idx := range []int{0, 364, 728} {
+		cfg, err := ev.Config(space.Point(idx))
+		if err != nil {
+			t.Fatalf("design %d: %v", idx, err)
+		}
+		split := SplitRefs(refs, cfg.Cores)
+		var runErr error
+		allocs := testing.AllocsPerRun(1, func() {
+			_, runErr = sim.RunWorkloadCountsCtx(ctx, cfg, ev.Workload, ev.WSBytes, ev.MeanGap, split, ev.Seed)
+		})
+		if runErr != nil {
+			t.Fatalf("design %d: %v", idx, runErr)
+		}
+		t.Logf("design %d (%d cores): %.0f allocations, %.3f per reference", idx, cfg.Cores, allocs, allocs/refs)
+		if allocs > refs {
+			t.Errorf("design %d (%d cores): %.0f allocations for %d references, want at most one per reference", idx, cfg.Cores, allocs, refs)
+		}
 	}
 }
 

@@ -149,8 +149,9 @@ func New(cfg Config, lower Level) (*Cache, error) {
 		mshrFree: make([]int64, cfg.MSHRs),
 		inflight: make(map[uint64]int64),
 	}
+	ways := make([]way, len(c.sets)*cfg.Assoc)
 	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Assoc)
+		c.sets[i] = ways[i*cfg.Assoc : (i+1)*cfg.Assoc : (i+1)*cfg.Assoc]
 	}
 	return c, nil
 }

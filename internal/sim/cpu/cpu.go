@@ -9,7 +9,6 @@
 package cpu
 
 import (
-	"container/heap"
 	"fmt"
 
 	"repro/internal/sim/cache"
@@ -61,16 +60,49 @@ func (s Stats) CPI() float64 {
 // completionHeap is a min-heap of outstanding completion times.
 type completionHeap []int64
 
-func (h completionHeap) Len() int            { return len(h) }
-func (h completionHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h completionHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *completionHeap) Push(x interface{}) { *h = append(*h, x.(int64)) }
-func (h *completionHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// push adds a completion time.
+func (h *completionHeap) push(t int64) {
+	s := append(*h, t)
+	i := len(s) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if s[p] <= t {
+			break
+		}
+		s[i] = s[p]
+		i = p
+	}
+	s[i] = t
+	*h = s
+}
+
+// pop removes and returns the earliest completion time.
+func (h *completionHeap) pop() int64 {
+	s := *h
+	top := s[0]
+	n := len(s) - 1
+	last := s[n]
+	s = s[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1] < s[c] {
+			c++
+		}
+		if last <= s[c] {
+			break
+		}
+		s[i] = s[c]
+		i = c
+	}
+	if n > 0 {
+		s[i] = last
+	}
+	*h = s
+	return top
 }
 
 // AccessObserver receives the timing of every L1 access the core issues;
@@ -149,7 +181,7 @@ func (c *Core) Step(ref trace.Ref) error {
 		maxOutstanding = 1
 	}
 	for len(c.inflight) >= maxOutstanding {
-		earliest := heap.Pop(&c.inflight).(int64)
+		earliest := c.inflight.pop()
 		if earliest > c.clock {
 			c.clock = earliest
 			c.issueDebt = 0
@@ -157,7 +189,7 @@ func (c *Core) Step(ref trace.Ref) error {
 	}
 	// Drain completions that already happened (keeps the heap small).
 	for len(c.inflight) > 0 && c.inflight[0] <= c.clock {
-		heap.Pop(&c.inflight)
+		c.inflight.pop()
 	}
 
 	res := c.l1.AccessTimed(c.clock, ref.Addr, ref.Write)
@@ -165,7 +197,7 @@ func (c *Core) Step(ref trace.Ref) error {
 	if c.obs != nil {
 		obsErr = c.obs.Observe(res, c.l1.Config().HitLatency)
 	}
-	heap.Push(&c.inflight, res.Done)
+	c.inflight.push(res.Done)
 	if len(c.inflight) > c.maxInFlightSeen {
 		c.maxInFlightSeen = len(c.inflight)
 	}
@@ -182,7 +214,7 @@ func (c *Core) Step(ref trace.Ref) error {
 // Drain waits for all outstanding accesses and returns final statistics.
 func (c *Core) Drain() Stats {
 	for len(c.inflight) > 0 {
-		done := heap.Pop(&c.inflight).(int64)
+		done := c.inflight.pop()
 		if done > c.clock {
 			c.clock = done
 		}
