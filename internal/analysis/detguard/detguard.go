@@ -14,7 +14,7 @@
 //   - Downward (must-be-deterministic marking): functions whose names
 //     identify the protected entry points — Evaluate/EvaluateCtx/
 //     EvaluateBatch/EvaluateStream (evaluation), TimeAt/TimeWorkAt/
-//     Compile (compiled kernels), Fingerprint/Signature/hashFP/hashPoint
+//     Compile (compiled kernels), Fingerprint/Signature/KeySeed/KeyHash
 //     (cache keys), anything containing "Checkpoint", and the job result
 //     builders runSweep/runAPS — are roots. Every function they
 //     statically call inside the package is transitively
@@ -74,7 +74,7 @@ type NondetFact struct {
 var rootNames = map[string]bool{
 	"Evaluate": true, "EvaluateCtx": true, "EvaluateBatch": true, "EvaluateStream": true,
 	"TimeAt": true, "TimeWorkAt": true, "Compile": true,
-	"Fingerprint": true, "Signature": true, "hashFP": true, "hashPoint": true,
+	"Fingerprint": true, "Signature": true, "KeySeed": true, "KeyHash": true,
 	"runSweep": true, "runAPS": true,
 }
 

@@ -38,8 +38,9 @@ func testConfig(self string, names ...string) Config {
 func TestRingDeterministicAcrossInputOrder(t *testing.T) {
 	a := buildRing([]string{"a", "b", "c"}, 64)
 	b := buildRing([]string{"c", "a", "b"}, 64)
+	seed := engine.KeySeed("ring/det")
 	for i := 0; i < 4096; i++ {
-		key := engine.KeyHash("ring/det", []float64{float64(i)})
+		key := engine.KeyHash(seed, []float64{float64(i)})
 		if a.owner(key) != b.owner(key) {
 			t.Fatalf("key %d owned by %q vs %q depending on input order", i, a.owner(key), b.owner(key))
 		}
@@ -49,12 +50,13 @@ func TestRingDeterministicAcrossInputOrder(t *testing.T) {
 func TestRingBalance(t *testing.T) {
 	// The acceptance bound: ≤15% per-peer shard imbalance with ≥64
 	// virtual nodes over a realistic keyset (a catalog sweep's points).
+	seed := engine.KeySeed("ring/balance")
 	for _, peers := range [][]string{{"a", "b"}, {"a", "b", "c"}, {"a", "b", "c", "d", "e"}} {
 		r := buildRing(peers, DefaultVirtualNodes)
 		counts := make(map[string]int)
 		total := 8192
 		for i := 0; i < total; i++ {
-			counts[r.owner(engine.KeyHash("ring/balance", []float64{float64(i), float64(i % 7)}))]++
+			counts[r.owner(engine.KeyHash(seed, []float64{float64(i), float64(i % 7)}))]++
 		}
 		mean := float64(total) / float64(len(peers))
 		for _, name := range peers {
@@ -71,8 +73,9 @@ func TestRingEjectionMovesOnlyEjectedShare(t *testing.T) {
 	full := buildRing([]string{"a", "b", "c"}, DefaultVirtualNodes)
 	without := buildRing([]string{"a", "c"}, DefaultVirtualNodes)
 	moved, total := 0, 4096
+	seed := engine.KeySeed("ring/eject")
 	for i := 0; i < total; i++ {
-		key := engine.KeyHash("ring/eject", []float64{float64(i)})
+		key := engine.KeyHash(seed, []float64{float64(i)})
 		before, after := full.owner(key), without.owner(key)
 		if before != after {
 			moved++
@@ -171,7 +174,7 @@ func TestOwnerRoutesAndSetPeersPreservesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := engine.KeyHash("cluster/route", []float64{7})
+	key := engine.KeyHash(engine.KeySeed("cluster/route"), []float64{7})
 	owner1, _ := c.Owner(key)
 
 	// Trip b's breaker by hand, then reload membership with a new URL
@@ -270,8 +273,9 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 		t.Fatalf("summary %+v, want 3 peers / 2 alive / 1 ejected", sum)
 	}
 	// No key may resolve to the ejected peer.
+	seed := engine.KeySeed("probe")
 	for i := 0; i < 2048; i++ {
-		if name, _ := c.Owner(engine.KeyHash("probe", []float64{float64(i)})); name == "down" {
+		if name, _ := c.Owner(engine.KeyHash(seed, []float64{float64(i)})); name == "down" {
 			t.Fatal("ejected peer still owns ring segments")
 		}
 	}

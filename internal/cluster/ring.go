@@ -1,8 +1,9 @@
 // Package cluster turns N c2bound-server processes into one logical
 // memo cache: a consistent-hash ring with virtual nodes routes each
-// (fingerprint, point) key — hashed by engine.KeyHash, the exact memo
-// key the cache uses internally — to an owner peer, an internal
-// peer-eval exchange forwards remote-owned points to their owner, and
+// (fingerprint, point) key — engine.KeyHash of the point under the
+// fingerprint's engine.KeySeed, the exact memo key the cache uses
+// internally — to an owner peer, an internal peer-eval exchange
+// forwards remote-owned points to their owner, and
 // per-peer circuit breakers plus health probing keep degradation
 // graceful: any peer failure falls back to local computation, which is
 // bit-identical because every family kernel is deterministic, so the

@@ -261,7 +261,7 @@ func (e *Engine) Do(ctx context.Context, ev robust.Evaluator, point []float64) O
 type memoKey struct {
 	cacheable bool
 	fp        string
-	seed      uint64 // hashFP(fp)
+	seed      uint64 // KeySeed(fp)
 }
 
 // keyOf resolves ev's memo identity. Only fingerprinted evaluators on a
@@ -271,7 +271,7 @@ func (e *Engine) keyOf(ev robust.Evaluator) memoKey {
 	if f, ok := ev.(Fingerprinter); ok && e.cache != nil {
 		k.cacheable = true
 		k.fp = f.Fingerprint()
-		k.seed = hashFP(k.fp)
+		k.seed = KeySeed(k.fp)
 	}
 	return k
 }
@@ -330,7 +330,7 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 		}
 	} else {
 		for i, p := range pts {
-			hashes[i] = hashPoint(k.seed, p)
+			hashes[i] = KeyHash(k.seed, p)
 		}
 		e.mu.Lock()
 		fpID = e.internLocked(k.fp)
@@ -569,16 +569,6 @@ func (e *Engine) EvaluateStream(ctx context.Context, ev robust.Evaluator, points
 		}
 	}
 	return ctx.Err()
-}
-
-// KeyHash returns the engine's canonical 64-bit memo key for a
-// (fingerprint, point) pair: FNV-1a over the fingerprint seeding a
-// splitmix64-style fold of the point's IEEE-754 bits — exactly the hash
-// the cache, the in-flight table and every chunk use internally.
-// The cluster tier places keys on its consistent-hash ring with this
-// function, so cache ownership and memo identity can never disagree.
-func KeyHash(fp string, point []float64) uint64 {
-	return hashPoint(hashFP(fp), point)
 }
 
 // CacheLen returns the current number of memoized entries.

@@ -132,13 +132,13 @@ func TestCacheKeyExactness(t *testing.T) {
 	// Distinct points and fingerprints must produce distinct hashes, and
 	// negative zero must not alias zero away (bit mixing is exact).
 	keys := map[uint64]bool{
-		hashPoint(hashFP("a"), []float64{1, 2}):                 true,
-		hashPoint(hashFP("a"), []float64{2, 1}):                 true,
-		hashPoint(hashFP("b"), []float64{1, 2}):                 true,
-		hashPoint(hashFP("a"), []float64{1}):                    true,
-		hashPoint(hashFP("a"), []float64{math.Inf(1)}):          true,
-		hashPoint(hashFP("a"), []float64{math.Copysign(0, -1)}): true,
-		hashPoint(hashFP("a"), []float64{0}):                    true,
+		KeyHash(KeySeed("a"), []float64{1, 2}):                 true,
+		KeyHash(KeySeed("a"), []float64{2, 1}):                 true,
+		KeyHash(KeySeed("b"), []float64{1, 2}):                 true,
+		KeyHash(KeySeed("a"), []float64{1}):                    true,
+		KeyHash(KeySeed("a"), []float64{math.Inf(1)}):          true,
+		KeyHash(KeySeed("a"), []float64{math.Copysign(0, -1)}): true,
+		KeyHash(KeySeed("a"), []float64{0}):                    true,
 	}
 	if len(keys) != 7 {
 		t.Fatalf("key collisions: %d distinct of 7", len(keys))

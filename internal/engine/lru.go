@@ -18,10 +18,10 @@ const (
 	fnvPrime  uint64 = 1099511628211
 )
 
-// hashFP hashes a fingerprint string (FNV-1a). The result seeds
-// hashPoint, so one evaluator's hash is computed once per stream, not
-// per point.
-func hashFP(fp string) uint64 {
+// KeySeed hashes a fingerprint string (FNV-1a) into the seed of its
+// memo keys. Hash it once per stream or request and derive each point's
+// key with KeyHash, rather than re-hashing the fingerprint per point.
+func KeySeed(fp string) uint64 {
 	h := fnvOffset
 	for i := 0; i < len(fp); i++ {
 		h ^= uint64(fp[i])
@@ -30,9 +30,13 @@ func hashFP(fp string) uint64 {
 	return h
 }
 
-// hashPoint folds a point's IEEE-754 bits into the fingerprint seed with
-// a splitmix64-style avalanche per coordinate. Zero allocations.
-func hashPoint(seed uint64, point []float64) uint64 {
+// KeyHash returns the engine's canonical 64-bit memo key for a point
+// under a fingerprint's KeySeed: a splitmix64-style avalanche of each
+// coordinate's IEEE-754 bits folded into the seed, exactly the hash the
+// cache, the in-flight table and every chunk use. The cluster tier places
+// keys on its consistent-hash ring with it, so cache ownership and memo
+// identity can never disagree. Zero allocations.
+func KeyHash(seed uint64, point []float64) uint64 {
 	h := seed
 	for _, v := range point {
 		h ^= math.Float64bits(v)

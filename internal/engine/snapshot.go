@@ -119,7 +119,7 @@ func (e *Engine) LoadSnapshot(path string) (int, error) {
 	}
 	for _, se := range entries {
 		fpID := e.internLocked(se.fp)
-		e.cache.add(hashPoint(hashFP(se.fp), se.point), fpID, se.point, se.val)
+		e.cache.add(KeyHash(KeySeed(se.fp), se.point), fpID, se.point, se.val)
 	}
 	return len(entries), nil
 }

@@ -246,13 +246,3 @@ func TestSnapshotDisabledCache(t *testing.T) {
 		t.Fatal("SaveSnapshot with caching disabled succeeded, want error")
 	}
 }
-
-func TestKeyHashMatchesCachePlacement(t *testing.T) {
-	// KeyHash is the cluster ring's placement hook; it must equal the
-	// engine's internal memo key bit for bit.
-	fp := "snap/key"
-	point := []float64{1, 2, math.Pi}
-	if got, want := KeyHash(fp, point), hashPoint(hashFP(fp), point); got != want {
-		t.Fatalf("KeyHash = %016x, internal key = %016x", got, want)
-	}
-}

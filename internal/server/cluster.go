@@ -64,8 +64,9 @@ type pointGroup struct {
 // iteration, so the fan-out order is deterministic).
 func (s *Server) partitionPoints(fp string, points [][]float64) (local []int, remote []*pointGroup) {
 	groups := make(map[string]*pointGroup)
+	seed := engine.KeySeed(fp)
 	for i, p := range points {
-		owner, isLocal := s.cluster.Owner(engine.KeyHash(fp, p))
+		owner, isLocal := s.cluster.Owner(engine.KeyHash(seed, p))
 		if isLocal {
 			local = append(local, i)
 			continue
