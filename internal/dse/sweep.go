@@ -230,7 +230,7 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	if every <= 0 {
 		every = 256
 	}
-	saw := make(map[int]bool, len(pending))
+	saw := make([]bool, size) // by flat index: a pending index seen settled
 	sinceCk := 0
 	var ckErr error
 	save := func() {

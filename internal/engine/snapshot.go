@@ -31,9 +31,10 @@ import (
 // snapshotMagic identifies a version-1 snapshot file.
 var snapshotMagic = [8]byte{'C', '2', 'B', 'S', 'N', 'A', 'P', 1}
 
-// snapshotEntry is one parsed cache entry awaiting installation.
+// snapshotEntry is one parsed cache entry awaiting installation; fp
+// indexes the snapshot's fingerprint table.
 type snapshotEntry struct {
-	fp    string
+	fp    uint32
 	point []float64
 	val   float64
 }
@@ -102,13 +103,14 @@ func (e *Engine) encodeSnapshot() ([]byte, int, error) {
 // leaves the cache exactly as it was. Entries are installed LRU → MRU
 // with freshly interned fingerprints and recomputed hashes, so a
 // restored cache behaves identically to one that was never saved
-// (snapshots from larger caches simply evict from the cold end).
+// (snapshots from larger caches simply evict from the cold end). Each
+// fingerprint is interned and seeded once, at its first entry.
 func (e *Engine) LoadSnapshot(path string) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, err
 	}
-	entries, err := parseSnapshot(data)
+	fps, entries, err := parseSnapshot(data)
 	if err != nil {
 		return 0, fmt.Errorf("engine: snapshot %q: %w", path, err)
 	}
@@ -117,24 +119,30 @@ func (e *Engine) LoadSnapshot(path string) (int, error) {
 	if e.cache == nil {
 		return 0, fmt.Errorf("engine: snapshot: caching is disabled")
 	}
+	ids := make([]uint32, len(fps)) // 0: not interned yet (IDs start at 1)
+	seeds := make([]uint64, len(fps))
 	for _, se := range entries {
-		fpID := e.internLocked(se.fp)
-		e.cache.add(KeyHash(KeySeed(se.fp), se.point), fpID, se.point, se.val)
+		if ids[se.fp] == 0 {
+			ids[se.fp] = e.internLocked(fps[se.fp])
+			seeds[se.fp] = KeySeed(fps[se.fp])
+		}
+		e.cache.add(KeyHash(seeds[se.fp], se.point), ids[se.fp], se.point, se.val)
 	}
 	return len(entries), nil
 }
 
-// parseSnapshot validates and decodes a snapshot blob all-or-nothing.
-func parseSnapshot(data []byte) ([]snapshotEntry, error) {
+// parseSnapshot validates and decodes a snapshot blob all-or-nothing
+// into its fingerprint table and its entries.
+func parseSnapshot(data []byte) ([]string, []snapshotEntry, error) {
 	if len(data) < len(snapshotMagic)+8 {
-		return nil, fmt.Errorf("truncated (%d bytes)", len(data))
+		return nil, nil, fmt.Errorf("truncated (%d bytes)", len(data))
 	}
 	if [8]byte(data[:8]) != snapshotMagic {
-		return nil, fmt.Errorf("bad magic or unsupported version")
+		return nil, nil, fmt.Errorf("bad magic or unsupported version")
 	}
 	payload, trailer := data[:len(data)-8], binary.LittleEndian.Uint64(data[len(data)-8:])
 	if sum := fnvSum(payload); sum != trailer {
-		return nil, fmt.Errorf("checksum mismatch (file %016x, computed %016x)", trailer, sum)
+		return nil, nil, fmt.Errorf("checksum mismatch (file %016x, computed %016x)", trailer, sum)
 	}
 	r := snapReader{buf: payload[8:]}
 	// Header counts are checked against the bytes left before they size
@@ -143,7 +151,7 @@ func parseSnapshot(data []byte) ([]snapshotEntry, error) {
 	// fails here instead of reserving gigabytes.
 	fpCount := r.u32()
 	if r.err == nil && int(fpCount) > len(r.buf)/4 {
-		return nil, fmt.Errorf("header claims %d fingerprints beyond the blob", fpCount)
+		return nil, nil, fmt.Errorf("header claims %d fingerprints beyond the blob", fpCount)
 	}
 	fps := make([]string, 0, fpCount)
 	for i := uint32(0); i < fpCount; i++ {
@@ -151,17 +159,17 @@ func parseSnapshot(data []byte) ([]snapshotEntry, error) {
 	}
 	entryCount := r.u32()
 	if r.err == nil && int(entryCount) > len(r.buf)/16 {
-		return nil, fmt.Errorf("header claims %d entries beyond the blob", entryCount)
+		return nil, nil, fmt.Errorf("header claims %d entries beyond the blob", entryCount)
 	}
 	entries := make([]snapshotEntry, 0, entryCount)
 	for i := uint32(0); i < entryCount; i++ {
 		fpIdx := r.u32()
 		if r.err == nil && fpIdx >= uint32(len(fps)) {
-			return nil, fmt.Errorf("entry %d references fingerprint %d of %d", i, fpIdx, len(fps))
+			return nil, nil, fmt.Errorf("entry %d references fingerprint %d of %d", i, fpIdx, len(fps))
 		}
 		dims := r.u32()
 		if r.err == nil && int(dims) > len(r.buf)/8 {
-			return nil, fmt.Errorf("entry %d claims %d dims beyond the blob", i, dims)
+			return nil, nil, fmt.Errorf("entry %d claims %d dims beyond the blob", i, dims)
 		}
 		point := make([]float64, 0, dims)
 		for d := uint32(0); d < dims; d++ {
@@ -169,17 +177,17 @@ func parseSnapshot(data []byte) ([]snapshotEntry, error) {
 		}
 		val := math.Float64frombits(r.u64())
 		if r.err != nil {
-			return nil, r.err
+			return nil, nil, r.err
 		}
-		entries = append(entries, snapshotEntry{fp: fps[fpIdx], point: point, val: val})
+		entries = append(entries, snapshotEntry{fp: fpIdx, point: point, val: val})
 	}
 	if r.err != nil {
-		return nil, r.err
+		return nil, nil, r.err
 	}
 	if len(r.buf) != 0 {
-		return nil, fmt.Errorf("%d trailing bytes after the last entry", len(r.buf))
+		return nil, nil, fmt.Errorf("%d trailing bytes after the last entry", len(r.buf))
 	}
-	return entries, nil
+	return fps, entries, nil
 }
 
 // snapReader is a cursor over the snapshot payload with a sticky

@@ -82,6 +82,52 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 	}
 }
 
+// TestSnapshotLoadKeysEntriesUnderKeyHash loads a snapshot whose entries
+// interleave three fingerprints and checks every restored entry: it sits
+// in the table under KeyHash(KeySeed(fp), point) of its own fingerprint,
+// the key every lookup computes.
+func TestSnapshotLoadKeysEntriesUnderKeyHash(t *testing.T) {
+	e := New(Options{Workers: 1, CacheSize: 1024})
+	evs := []snapEval{{fp: "snap/x"}, {fp: "snap/y"}, {fp: "snap/z"}}
+	const n = 60
+	for i := 0; i < n; i++ {
+		p := []float64{float64(i / 3), math.Copysign(0, -1), math.NaN()}
+		if _, err := e.Evaluate(context.Background(), evs[i%3], p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(t.TempDir(), "keys.snap")
+	if _, err := e.SaveSnapshot(path); err != nil {
+		t.Fatalf("SaveSnapshot: %v", err)
+	}
+	e2 := New(Options{Workers: 1, CacheSize: 1024})
+	if m, err := e2.LoadSnapshot(path); err != nil || m != n {
+		t.Fatalf("LoadSnapshot = %d, %v; want %d entries", m, err, n)
+	}
+
+	e2.mu.Lock()
+	defer e2.mu.Unlock()
+	fpByID := make(map[uint32]string, len(e2.fps))
+	for fp, id := range e2.fps {
+		fpByID[id] = fp
+	}
+	seen := 0
+	for le := e2.cache.root.next; le != &e2.cache.root; le = le.next {
+		fp, ok := fpByID[le.fpID]
+		if !ok {
+			t.Fatalf("entry %v carries fingerprint ID %d, which is not interned", le.point, le.fpID)
+		}
+		key := KeyHash(KeySeed(fp), le.point)
+		if le.hash != key || e2.cache.items[key] != le {
+			t.Fatalf("entry %v of %q sits under %016x, want KeyHash %016x", le.point, fp, le.hash, key)
+		}
+		seen++
+	}
+	if seen != n || len(fpByID) != len(evs) {
+		t.Fatalf("walked %d entries under %d fingerprints, want %d under %d", seen, len(fpByID), n, len(evs))
+	}
+}
+
 func TestSnapshotRestoreGives100PercentWarmHits(t *testing.T) {
 	dir := t.TempDir()
 	e := New(Options{Workers: 4, CacheSize: 1024})

@@ -234,7 +234,8 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 // handlePeerSweep runs a forwarded sub-sweep without re-partitioning
 // (the coordinator already split the slab by ring ownership; a second
 // split here could ping-pong under ring disagreement). The wire shape
-// is exactly /v1/sweep's.
+// is /v1/sweep's, except that the result frame's values are the
+// forwarded indices' values, in request order.
 func (s *Server) handlePeerSweep(w http.ResponseWriter, r *http.Request) {
 	s.serveSweep(w, r, false)
 }
@@ -370,7 +371,7 @@ func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.S
 	}
 	sort.Ints(rep.Completed)
 	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Index < rep.Failed[j].Index })
-	seen := make(map[int]bool, len(rep.Completed))
+	seen := make([]bool, space.Size())
 	for _, idx := range rep.Completed {
 		seen[idx] = true
 	}
@@ -423,29 +424,24 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 			result = nil
 			return nil
 		}
+		// One decode per frame: a result frame is ~20 bytes a point, so
+		// the frame's type is read in the same pass as its payload.
 		var frame struct {
-			Type string `json:"type"`
+			SweepResult
+			Evaluated int64 `json:"evaluated"` // SweepProgress's count
 		}
 		if err := json.Unmarshal(line, &frame); err != nil {
 			return err
 		}
 		switch frame.Type {
 		case "progress":
-			var pr SweepProgress
-			if err := json.Unmarshal(line, &pr); err != nil {
-				return err
-			}
-			rp.set(slot, pr.Evaluated)
+			rp.set(slot, frame.Evaluated)
 			return nil
 		case "result":
-			var res SweepResult
-			if err := json.Unmarshal(line, &res); err != nil {
+			if err := checkSubSweep(&frame.SweepResult, space.Size(), g.idx); err != nil {
 				return err
 			}
-			if err := checkSubSweep(&res, space.Size(), g.idx); err != nil {
-				return err
-			}
-			result = &res
+			result = &frame.SweepResult
 			return nil
 		default:
 			return validationf("server: unknown sub-sweep frame type %q", frame.Type)
@@ -453,9 +449,11 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 	})
 	switch {
 	case err == nil && result != nil && result.Error == nil:
-		values := make([]float64, len(result.Values))
-		for i, v := range result.Values {
-			values[i] = float64(v)
+		// Scatter the group's values to their flat indices; the merge
+		// reads only the indices the report completed.
+		values := make([]float64, space.Size())
+		for k, idx := range g.idx {
+			values[idx] = float64(result.Values[k])
 		}
 		return subSweepOutcome{values: values, report: result.Report}
 	case ctx.Err() != nil:
@@ -473,17 +471,20 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 }
 
 // checkSubSweep holds a peer-sweep result frame to the rule peer-eval
-// responses meet: the dense values cover the whole space, and the
-// completed and failed indices are a duplicate-free subset of the group
-// that was forwarded. Anything else fails the exchange, so the group
-// falls back to local compute instead of merging a bad frame as data.
+// responses meet: one value for each forwarded index, and completed and
+// failed indices that are a duplicate-free subset of the forwarded group
+// within the space of size points. Anything else fails the exchange, so
+// the group falls back to local compute instead of merging a bad frame
+// as data.
 func checkSubSweep(res *SweepResult, size int, group []int) error {
-	if len(res.Values) != size {
-		return fmt.Errorf("server: peer-sweep result carries %d values for a space of %d", len(res.Values), size)
+	if len(res.Values) != len(group) {
+		return fmt.Errorf("server: peer-sweep result carries %d values for a group of %d", len(res.Values), len(group))
 	}
 	open := make([]bool, size)
 	for _, idx := range group {
-		open[idx] = true
+		if idx >= 0 && idx < size {
+			open[idx] = true
+		}
 	}
 	claim := func(idx int) error {
 		if idx < 0 || idx >= size || !open[idx] {

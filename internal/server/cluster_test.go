@@ -9,6 +9,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -334,41 +336,58 @@ func TestClusterSweepSurvivesPeerDeath(t *testing.T) {
 
 // TestClusterSweepRejectsBadPeerFrames points the coordinator at a
 // fake peer whose peer-sweep result frames are forged: a completed index
-// far outside the space, a completed index twice, and an empty values
-// array claiming every forwarded point. Each must fail the exchange like
-// a short peer-eval response: the group falls back to local compute and
-// the sweep returns the single node's bits, never a panic or NaN.
+// far outside the space, a completed index twice (each with one value
+// per forwarded index, so only the index is wrong), and frames claiming
+// every forwarded point with an empty values array, with dense values
+// for the whole space, or with one value short. Each must fail the
+// exchange like a short peer-eval response: the group falls back to
+// local compute and the sweep returns the single node's bits, never a
+// panic or NaN.
 func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 2}, IncludeValues: true}
 	_, single := newTestServer(t, Options{})
 	want := sweepOver(t, single.URL, req)
 	size := len(want.Values)
 
+	const badIndex, badCount = "outside the forwarded group or twice", "values for a group of"
 	forgeries := []struct {
-		name  string
-		forge func(group []int) SweepResult
+		name   string
+		reason string // in checkSubSweep's error for the forged frame
+		forge  func(group []int) SweepResult
 	}{
-		{"index outside the space", func(group []int) SweepResult {
+		{"index outside the space", badIndex, func(group []int) SweepResult {
 			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: []int{1 << 20}}}
-			res.Values = make([]jsonFloat, size)
+			res.Values = make(valueList, len(group))
 			return res
 		}},
-		{"index twice", func(group []int) SweepResult {
+		{"index twice", badIndex, func(group []int) SweepResult {
 			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: []int{group[0], group[0]}}}
-			res.Values = make([]jsonFloat, size)
+			res.Values = make(valueList, len(group))
 			return res
 		}},
-		{"empty values", func(group []int) SweepResult {
+		{"empty values", badCount, func(group []int) SweepResult {
 			return SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
+		}},
+		{"dense whole-space values", badCount, func(group []int) SweepResult {
+			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
+			res.Values = make(valueList, size)
+			return res
+		}},
+		{"one value short", badCount, func(group []int) SweepResult {
+			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
+			res.Values = make(valueList, len(group)-1)
+			return res
 		}},
 	}
 	var current atomic.Int32
+	var lastGroup atomic.Pointer[[]int]
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		var sub SweepRequest
 		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil || len(sub.Indices) == 0 {
 			http.Error(w, "bad peer-sweep request", http.StatusBadRequest)
 			return
 		}
+		lastGroup.Store(&sub.Indices)
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		_ = json.NewEncoder(w).Encode(forgeries[current.Load()].forge(sub.Indices))
 	}))
@@ -405,9 +424,67 @@ func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 		if reg.Counter("cluster_fallback_points_total").Value() == fb0 {
 			t.Fatalf("%s: the forged frame was merged; no point fell back to local compute", f.name)
 		}
+		group := *lastGroup.Load()
+		forged := f.forge(group)
+		if err := checkSubSweep(&forged, size, group); err == nil || !strings.Contains(err.Error(), f.reason) {
+			t.Fatalf("%s: checkSubSweep = %v, want an error naming %q", f.name, err, f.reason)
+		}
 	}
 	if reg.Counter("cluster_remote_points_total").Value() == 0 {
 		t.Fatal("no points were routed to the fake peer")
+	}
+}
+
+// TestPeerSweepReturnsGroupValues POSTs a peer sub-sweep directly with a
+// shuffled subset of a 729-point space: its result frame carries one
+// value per forwarded index, in request order, each bit-identical to the
+// single node's value at that index, and reports exactly that subset
+// completed.
+func TestPeerSweepReturnsGroupValues(t *testing.T) {
+	space := SpaceSpec{Per: 3}
+	_, single := newTestServer(t, Options{})
+	want := sweepOver(t, single.URL, SweepRequest{Model: ModelSpec{App: "tmm"}, Space: space, IncludeValues: true})
+	size := len(want.Values)
+	indices := make([]int, 0, size/3)
+	for k := 0; k < size/3; k++ {
+		indices = append(indices, (k*37+11)%size) // 37 is prime to 3^6: distinct, unsorted
+	}
+
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{})
+	resp := postJSON(t, &http.Client{}, peers[1].url+"/internal/v1/peer-sweep", SweepRequest{
+		Model: ModelSpec{App: "tmm"}, Space: space, Indices: indices, IncludeValues: true,
+	})
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("peer-sweep status %d: %s", resp.StatusCode, body)
+	}
+	var res SweepResult
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 64<<20)
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
+			t.Fatalf("bad frame %q: %v", sc.Bytes(), err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading peer-sweep stream: %v", err)
+	}
+	if res.Type != "result" || res.Error != nil {
+		t.Fatalf("last frame type %q, error %+v; want a clean result", res.Type, res.Error)
+	}
+	if len(res.Values) != len(indices) {
+		t.Fatalf("result carries %d values for %d forwarded indices", len(res.Values), len(indices))
+	}
+	for k, idx := range indices {
+		if got, w := math.Float64bits(float64(res.Values[k])), math.Float64bits(float64(want.Values[idx])); got != w {
+			t.Fatalf("values[%d] (index %d) = %x, want the single node's %x", k, idx, got, w)
+		}
+	}
+	sorted := append([]int(nil), indices...)
+	sort.Ints(sorted)
+	if fmt.Sprint(res.Report.Completed) != fmt.Sprint(sorted) {
+		t.Fatalf("completed %v, want the forwarded indices %v", res.Report.Completed, sorted)
 	}
 }
 

@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -134,5 +136,192 @@ func FuzzLoadTenantsFile(f *testing.F) {
 		if !reflect.DeepEqual(reloaded, configs) {
 			t.Fatalf("round trip changed the table:\n%+v\n%+v", configs, reloaded)
 		}
+	})
+}
+
+// fuzzIndices maps each fuzz byte to an index: a small signed value
+// around the space, except that 0x7f and 0x80 stand for the largest and
+// smallest int.
+func fuzzIndices(b []byte) []int {
+	out := make([]int, len(b))
+	for i, c := range b {
+		switch c {
+		case 0x7f:
+			out[i] = math.MaxInt
+		case 0x80:
+			out[i] = math.MinInt
+		default:
+			out[i] = int(int8(c))
+		}
+	}
+	return out
+}
+
+// subSweepRule is checkSubSweep's rule by brute force: one value per
+// forwarded index, and every claimed (completed or failed) index inside
+// the space, in the group and claimed once.
+func subSweepRule(values, size int, group, claims []int) bool {
+	if values != len(group) {
+		return false
+	}
+	for i, c := range claims {
+		if c < 0 || c >= size {
+			return false
+		}
+		inGroup := false
+		for _, g := range group {
+			inGroup = inGroup || g == c
+		}
+		if !inGroup {
+			return false
+		}
+		for _, earlier := range claims[:i] {
+			if earlier == c {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzCheckSubSweep holds checkSubSweep to subSweepRule over arbitrary
+// groups, value counts (the group's length plus skew) and completed and
+// failed indices, out-of-range, negative and repeated ones included: it
+// accepts a frame exactly when the rule does, and never panics.
+func FuzzCheckSubSweep(f *testing.F) {
+	f.Add(uint8(8), int8(0), []byte{1, 3, 5}, []byte{5, 1}, []byte{3})
+	f.Add(uint8(8), int8(-1), []byte{1, 3, 5}, []byte{1}, []byte{})
+	f.Add(uint8(8), int8(5), []byte{1, 3, 5}, []byte{1, 3, 5}, []byte{})
+	f.Add(uint8(8), int8(0), []byte{1, 3}, []byte{1}, []byte{1})
+	f.Add(uint8(8), int8(0), []byte{1, 3, 3}, []byte{3, 3}, []byte{})
+	f.Add(uint8(8), int8(0), []byte{1, 9}, []byte{9}, []byte{})
+	f.Add(uint8(8), int8(0), []byte{0xff, 2}, []byte{0xff}, []byte{})
+	f.Add(uint8(0), int8(0), []byte{0x7f, 0x80}, []byte{0x7f}, []byte{0x80})
+	f.Fuzz(func(t *testing.T, size uint8, skew int8, groupB, completedB, failedB []byte) {
+		group := fuzzIndices(groupB)
+		res := &SweepResult{Type: "result"}
+		if n := len(group) + int(skew); n > 0 {
+			res.Values = make(valueList, n)
+		}
+		res.Report.Completed = fuzzIndices(completedB)
+		failed := fuzzIndices(failedB)
+		for _, idx := range failed {
+			res.Report.Failed = append(res.Report.Failed, dse.IndexFailure{Index: idx})
+		}
+		err := checkSubSweep(res, int(size), group)
+		want := subSweepRule(len(res.Values), int(size), group, append(res.Report.Completed, failed...))
+		if (err == nil) != want {
+			t.Fatalf("size %d, group %v, %d values, completed %v, failed %v: checkSubSweep = %v, rule accepts = %v",
+				size, group, len(res.Values), res.Report.Completed, failed, err, want)
+		}
+	})
+}
+
+// legacySweepJobResult is SweepJobResult with the []jsonFloat value list
+// it carried before valueList: the reference for the bytes of sweep
+// frames and job records.
+type legacySweepJobResult struct {
+	BestIndex int         `json:"best_index"`
+	BestPoint []float64   `json:"best_point,omitempty"`
+	BestValue *jsonFloat  `json:"best_value,omitempty"`
+	Values    []jsonFloat `json:"values,omitempty"`
+}
+
+// sameFloatList fails t unless got and want are both nil or hold the
+// same bits.
+func sameFloatList(t *testing.T, label string, got, want []jsonFloat) {
+	t.Helper()
+	if (got == nil) != (want == nil) || len(got) != len(want) {
+		t.Fatalf("%s: %d values (nil %v), want %d (nil %v)", label, len(got), got == nil, len(want), want == nil)
+	}
+	for i := range want {
+		if math.Float64bits(float64(got[i])) != math.Float64bits(float64(want[i])) {
+			t.Fatalf("%s: value[%d] = %x, want %x", label, i, math.Float64bits(float64(got[i])), math.Float64bits(float64(want[i])))
+		}
+	}
+}
+
+// FuzzValueListMatchesElementwise holds valueList to the per-element
+// []jsonFloat path it replaces. Read as JSON, the input must fail to
+// decode into a valueList exactly when it fails into []jsonFloat (bare,
+// and as a sweep job payload's values), and otherwise give the same
+// bits. Read as little-endian float64 bit patterns (NaN payloads, ±Inf
+// and −0 included), it must encode byte for byte as []jsonFloat does,
+// bare and inside a payload, and decode back to the same bits.
+func FuzzValueListMatchesElementwise(f *testing.F) {
+	for _, seed := range []string{
+		`[1.5,"+Inf","-Inf","NaN",-0,0,1e-320,2.2250738585072014e-308]`,
+		`null`, `[]`, " [ 1 ,\t\"2\" ]\n", `["\u004e\u0061\u004e","\u0031.5"]`, `["NaN","1\/2"]`, `["+inf","-Infinity","nan"]`,
+		`[1e400]`, `["1e400"]`, `["0x1p-2"]`, `["1_0"]`, `[""]`, `[" 1"]`, `["é"]`,
+		`[true]`, `[null]`, `[[1]]`, `[{}]`, `{}`, `"1"`, `1`, `[1,]`, `[1 2]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	var bits []byte
+	for _, v := range []uint64{0x7ff8000000000001, 0xfff0000000000000, 0x7ff0000000000000, 1 << 63, 1, 0x7fefffffffffffff} {
+		bits = binary.LittleEndian.AppendUint64(bits, v)
+	}
+	f.Add(bits)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var got valueList
+		var want []jsonFloat
+		errGot, errWant := json.Unmarshal(data, &got), json.Unmarshal(data, &want)
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("decoding %q: valueList error %v, []jsonFloat error %v", data, errGot, errWant)
+		}
+		if errGot == nil {
+			sameFloatList(t, "decoded", got, want)
+		}
+		doc := append(append([]byte(`{"best_index":0,"values":`), data...), '}')
+		var gotRes SweepJobResult
+		var wantRes legacySweepJobResult
+		errGot, errWant = json.Unmarshal(doc, &gotRes), json.Unmarshal(doc, &wantRes)
+		if (errGot == nil) != (errWant == nil) {
+			t.Fatalf("decoding payload %q: valueList error %v, []jsonFloat error %v", doc, errGot, errWant)
+		}
+		if errGot == nil {
+			sameFloatList(t, "decoded payload", gotRes.Values, wantRes.Values)
+		}
+
+		var vals []jsonFloat
+		if len(data) > 0 {
+			vals = make([]jsonFloat, len(data)/8)
+		}
+		for i := range vals {
+			vals[i] = jsonFloat(math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:])))
+		}
+		enc, err := json.Marshal(valueList(vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := json.Marshal(vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, ref) {
+			t.Fatalf("encoding differs:\nvalueList  %s\n[]jsonFloat %s", enc, ref)
+		}
+		v := jsonFloat(-1.5)
+		enc, err = json.Marshal(SweepJobResult{BestIndex: 2, BestPoint: []float64{1, 2}, BestValue: &v, Values: vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err = json.Marshal(legacySweepJobResult{BestIndex: 2, BestPoint: []float64{1, 2}, BestValue: &v, Values: vals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, ref) {
+			t.Fatalf("payload encoding differs:\nvalueList  %s\n[]jsonFloat %s", enc, ref)
+		}
+		var back SweepJobResult
+		var backRef legacySweepJobResult
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("payload %s does not decode: %v", enc, err)
+		}
+		if err := json.Unmarshal(ref, &backRef); err != nil {
+			t.Fatal(err)
+		}
+		sameFloatList(t, "round trip", back.Values, backRef.Values)
 	})
 }

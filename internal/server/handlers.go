@@ -339,7 +339,9 @@ type SweepRequest struct {
 	// CheckpointEvery is the completed-evaluation cadence between
 	// periodic checkpoint writes (0: the sweep default).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// IncludeValues asks for the dense value slice in the result frame.
+	// IncludeValues asks for the values in the result frame: dense over
+	// the space, except that a peer-sweep frame carries only the values
+	// at Indices, in request order.
 	IncludeValues bool `json:"include_values,omitempty"`
 	// ProgressMS is the progress-frame cadence in milliseconds (0: 500).
 	ProgressMS int `json:"progress_ms,omitempty"`
@@ -462,6 +464,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		return
 	}
 	defer unlock()
+	sr.groupValues = !partition
 
 	rp := newRemoteProgress()
 	sweep := dse.SweepCtx
@@ -516,6 +519,9 @@ type sweepRun struct {
 	space dse.Space
 	ev    dse.CtxEvaluator
 	opts  dse.SweepOptions
+	// groupValues renders only the values at req.Indices, in their order:
+	// the peer-sweep frame, whose coordinator scatters them by index.
+	groupValues bool
 }
 
 // sweepInputs resolves a sweep request's model (any family), space and
@@ -573,9 +579,9 @@ func (s *Server) openSweep(sr *sweepRun, path string, resume bool, n *atomic.Int
 // clusterSweep that serveSweep picks for /v1/sweep in a cluster.
 type sweepFunc func(ctx context.Context, ev dse.CtxEvaluator, space dse.Space, indices []int, opts dse.SweepOptions) ([]float64, dse.SweepReport, error)
 
-// run sweeps sr with sweep and renders the best design, plus the dense
-// values when the request asks for them. Every field derives from the
-// values alone, so a resumed run reproduces it bit for bit.
+// run sweeps sr with sweep and renders the best design, plus the values
+// when the request asks for them. Every field derives from the values
+// alone, so a resumed run reproduces it bit for bit.
 func (sr *sweepRun) run(ctx context.Context, sweep sweepFunc) (SweepJobResult, dse.SweepReport, error) {
 	values, report, err := sweep(ctx, sr.ev, sr.space, sr.req.Indices, sr.opts)
 	idx, val := dse.Best(values)
@@ -584,7 +590,11 @@ func (sr *sweepRun) run(ctx context.Context, sweep sweepFunc) (SweepJobResult, d
 		res.BestPoint = sr.space.Point(idx)
 	}
 	if sr.req.IncludeValues {
-		res.Values = jsonFloats(values)
+		var at []int // nil: every value
+		if sr.groupValues {
+			at = sr.req.Indices
+		}
+		res.Values = valuesAt(values, at)
 	}
 	return res, report, err
 }

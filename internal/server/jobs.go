@@ -36,10 +36,10 @@ type JobList struct {
 // derives from the evaluated values alone (RawValues in the checkpoint
 // keep bit identity across restarts).
 type SweepJobResult struct {
-	BestIndex int         `json:"best_index"`
-	BestPoint []float64   `json:"best_point,omitempty"`
-	BestValue *jsonFloat  `json:"best_value,omitempty"`
-	Values    []jsonFloat `json:"values,omitempty"`
+	BestIndex int        `json:"best_index"`
+	BestPoint []float64  `json:"best_point,omitempty"`
+	BestValue *jsonFloat `json:"best_value,omitempty"`
+	Values    valueList  `json:"values,omitempty"`
 }
 
 // APSJobResult is the deterministic final payload of an APS job (the
