@@ -93,6 +93,8 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzLoadPeersFile -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzCheckSubSweep -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzValueListMatchesElementwise -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzIndexListMatchesInts -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzPeerSweepBitsRoundTrip -fuzztime 10s ./internal/server
 
 clean:
 	$(GO) clean ./...

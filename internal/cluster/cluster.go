@@ -139,7 +139,8 @@ type peerState struct {
 
 // Cluster is the peer tier: membership, ring, breakers and the peer
 // client. Safe for concurrent use; the ring is rebuilt under the mutex
-// on membership or health changes and read under it per lookup batch.
+// on membership or health changes and read under it once per request
+// (Ring).
 type Cluster struct {
 	opts   Options
 	client *http.Client
@@ -283,16 +284,30 @@ func (c *Cluster) Self() string {
 	return c.self
 }
 
+// RingView is one generation of the ring as this process sees it.
+// Rings are immutable, so a view stays valid after a membership or
+// health change swaps in the next generation: a caller that partitions
+// a whole request under one view takes the cluster mutex once and
+// places every key of the request by the same ring.
+type RingView struct {
+	r    *ring
+	self string
+}
+
+// Ring returns the current ring generation.
+func (c *Cluster) Ring() RingView {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return RingView{r: c.ring, self: c.self}
+}
+
 // Owner returns the peer owning a memo key (engine.KeyHash) and whether
 // that owner is this process. Keys owned by ejected peers fall to the
 // next alive peer clockwise, because the ring only ever contains alive
 // members.
-func (c *Cluster) Owner(key uint64) (name string, local bool) {
-	c.mu.Lock()
-	r, self := c.ring, c.self
-	c.mu.Unlock()
-	name = r.owner(key)
-	return name, name == self || name == ""
+func (v RingView) Owner(key uint64) (name string, local bool) {
+	name = v.r.owner(key)
+	return name, name == v.self || name == ""
 }
 
 // peer returns the live state for a peer name (nil for self/unknown).

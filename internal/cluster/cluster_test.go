@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -43,6 +44,36 @@ func TestRingDeterministicAcrossInputOrder(t *testing.T) {
 		key := engine.KeyHash(seed, []float64{float64(i)})
 		if a.owner(key) != b.owner(key) {
 			t.Fatalf("key %d owned by %q vs %q depending on input order", i, a.owner(key), b.owner(key))
+		}
+	}
+}
+
+// TestRingOwnerMatchesBinarySearch holds the bucketed lookup to its
+// definition, the first vnode at or past the key found by binary search
+// over the sorted positions, wrapping at the top: for rings of one to
+// five peers with 1 to 4,096 vnodes, over hashed keys and every vnode
+// position, its neighbours and both ends of the key space.
+func TestRingOwnerMatchesBinarySearch(t *testing.T) {
+	seed := engine.KeySeed("ring/index")
+	for _, peers := range [][]string{{"a"}, {"a", "b"}, {"a", "b", "c"}, {"a", "b", "c", "d", "e"}} {
+		for _, vnodes := range []int{1, 7, DefaultVirtualNodes, maxVirtualNodes} {
+			r := buildRing(peers, vnodes)
+			keys := []uint64{0, 1, math.MaxUint64 - 1, math.MaxUint64}
+			for _, h := range r.hashes {
+				keys = append(keys, h-1, h, h+1)
+			}
+			for i := 0; i < 4096; i++ {
+				keys = append(keys, engine.KeyHash(seed, []float64{float64(i)}))
+			}
+			for _, key := range keys {
+				i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= key })
+				if i == len(r.hashes) {
+					i = 0
+				}
+				if got, want := r.owner(key), r.owners[i]; got != want {
+					t.Fatalf("%d peers × %d vnodes: key %#x owned by %q, want %q", len(peers), vnodes, key, got, want)
+				}
+			}
 		}
 	}
 }
@@ -175,7 +206,7 @@ func TestOwnerRoutesAndSetPeersPreservesState(t *testing.T) {
 		t.Fatal(err)
 	}
 	key := engine.KeyHash(engine.KeySeed("cluster/route"), []float64{7})
-	owner1, _ := c.Owner(key)
+	owner1, _ := c.Ring().Owner(key)
 
 	// Trip b's breaker by hand, then reload membership with a new URL
 	// for b: the breaker state must survive the swap.
@@ -192,19 +223,33 @@ func TestOwnerRoutesAndSetPeersPreservesState(t *testing.T) {
 	if got := c.peer("b").baseURL(); got != "http://127.0.0.1:2/b" {
 		t.Fatalf("URL not updated: %s", got)
 	}
-	owner2, _ := c.Owner(key)
+	owner2, _ := c.Ring().Owner(key)
 	if owner1 != owner2 {
 		t.Fatalf("same membership, owner moved %q → %q", owner1, owner2)
 	}
 	if err := c.SetPeers(testConfig("b", "a", "b", "c")); err == nil {
 		t.Fatal("changing self at runtime: want error")
 	}
-	// Removing a peer changes ownership of (roughly) its share only.
+	// Removing a peer changes ownership of (roughly) its share only. A
+	// view taken before the change keeps its generation: a request
+	// partitioned under it places every key by the same ring.
+	before := c.Ring()
+	seed := engine.KeySeed("cluster/route")
+	var bKey uint64
+	for i := 0; ; i++ {
+		bKey = engine.KeyHash(seed, []float64{float64(i)})
+		if name, _ := before.Owner(bKey); name == "b" {
+			break
+		}
+	}
 	if err := c.SetPeers(testConfig("a", "a", "c")); err != nil {
 		t.Fatal(err)
 	}
-	if name, _ := c.Owner(key); name == "b" {
+	if name, _ := c.Ring().Owner(bKey); name == "b" {
 		t.Fatal("removed peer still owns keys")
+	}
+	if name, local := before.Owner(bKey); name != "b" || local {
+		t.Fatalf("earlier view moved its key to %q (local %v); want b's old generation", name, local)
 	}
 }
 
@@ -273,9 +318,9 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 		t.Fatalf("summary %+v, want 3 peers / 2 alive / 1 ejected", sum)
 	}
 	// No key may resolve to the ejected peer.
-	seed := engine.KeySeed("probe")
+	seed, ring := engine.KeySeed("probe"), c.Ring()
 	for i := 0; i < 2048; i++ {
-		if name, _ := c.Owner(engine.KeyHash(seed, []float64{float64(i)})); name == "down" {
+		if name, _ := ring.Owner(engine.KeyHash(seed, []float64{float64(i)})); name == "down" {
 			t.Fatal("ejected peer still owns ring segments")
 		}
 	}

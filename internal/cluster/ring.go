@@ -58,12 +58,21 @@ func fnvString(s string) uint64 {
 }
 
 // ring is an immutable consistent-hash ring: vnode positions sorted
-// clockwise with their owning peer names. Lookups are a binary search;
-// membership changes build a new ring (the Cluster swaps it atomically).
+// clockwise with their owning peer names. A key's top bits pick a
+// bucket of about one vnode, and a lookup scans that bucket; membership
+// changes build a new ring (the Cluster swaps it atomically).
 type ring struct {
 	hashes []uint64
 	owners []string
+	// start[b] is the first vnode at or past bucket b's lowest key, for
+	// the buckets key>>shift selects; its last entry is len(hashes).
+	start []int32
+	shift uint
 }
+
+// maxRingBucketBits bounds the bucket table at 2^16 entries (256 KB);
+// a larger ring only puts more vnodes in each bucket.
+const maxRingBucketBits = 16
 
 // buildRing places vnodes-per-peer positions for each peer. Peer names
 // are sorted first and position ties broken by name, so every process
@@ -101,16 +110,39 @@ func buildRing(peers []string, vnodes int) *ring {
 		hashes[i] = r.hashes[j]
 		owners[i] = r.owners[j]
 	}
-	return &ring{hashes: hashes, owners: owners}
+	// One bucket per vnode, rounded up to a power of two.
+	bits := uint(0)
+	for bits < maxRingBucketBits && 1<<bits < len(hashes) {
+		bits++
+	}
+	out := &ring{hashes: hashes, owners: owners, start: make([]int32, 1<<bits+1), shift: 64 - bits}
+	i := 0
+	for b := range out.start {
+		if b == 1<<bits {
+			i = len(hashes)
+		}
+		for i < len(hashes) && hashes[i] < uint64(b)<<out.shift {
+			i++
+		}
+		out.start[b] = int32(i)
+	}
+	return out
 }
 
 // owner returns the peer owning key: the first vnode clockwise from the
-// key's position, wrapping at the top. An empty ring owns nothing.
+// key's position, wrapping at the top. An empty ring owns nothing. The
+// first vnode at or past key lies in key's bucket or is the next
+// bucket's first, since every vnode before the bucket sits below its
+// lowest key and every one after it above key.
 func (r *ring) owner(key uint64) string {
 	if r == nil || len(r.hashes) == 0 {
 		return ""
 	}
-	i := sort.Search(len(r.hashes), func(i int) bool { return r.hashes[i] >= key })
+	b := key >> r.shift
+	i, end := int(r.start[b]), int(r.start[b+1])
+	for i < end && r.hashes[i] < key {
+		i++
+	}
 	if i == len(r.hashes) {
 		i = 0
 	}

@@ -97,14 +97,15 @@ type SweepReport struct {
 	// Total is the number of indices the sweep was asked to evaluate.
 	Total int `json:"total"`
 	// Completed lists the successfully evaluated indices, sorted. It
-	// includes indices restored from a resumed checkpoint.
-	Completed []int `json:"completed"`
+	// includes indices restored from a resumed checkpoint, and lists an
+	// index the sweep was asked for more than once as often as asked.
+	Completed IndexList `json:"completed"`
 	// Failed lists the indices whose evaluations exhausted the retry
 	// budget, with their final error.
 	Failed []IndexFailure `json:"failed,omitempty"`
 	// Pending lists the indices never evaluated because the sweep was
 	// cancelled or timed out.
-	Pending []int `json:"pending,omitempty"`
+	Pending IndexList `json:"pending,omitempty"`
 	// Retries is the total number of re-attempts across all indices.
 	Retries int `json:"retries"`
 	// Resumed is how many completed indices were restored from the

@@ -2,6 +2,7 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -59,25 +60,42 @@ type pointGroup struct {
 	idx   []int
 }
 
-// partitionPoints splits points by ring ownership: the local indices,
-// plus one group per remote owner in first-appearance order (no map
-// iteration, so the fan-out order is deterministic).
-func (s *Server) partitionPoints(fp string, points [][]float64) (local []int, remote []*pointGroup) {
-	groups := make(map[string]*pointGroup)
-	seed := engine.KeySeed(fp)
-	for i, p := range points {
-		owner, isLocal := s.cluster.Owner(engine.KeyHash(seed, p))
-		if isLocal {
-			local = append(local, i)
-			continue
+// partitionPoints splits n points by ring ownership under one ring
+// generation: the local positions, plus one group per remote owner in
+// first-appearance order (no map iteration, so the fan-out order is
+// deterministic). point(k) returns the point at position k; only its
+// key is kept, so point may build each one in the same buffer.
+func (s *Server) partitionPoints(fp string, n int, point func(k int) []float64) (local []int, remote []*pointGroup) {
+	// The first pass places each point and counts each owner's share, so
+	// the second fills lists of their final size instead of growing them.
+	slot := make([]int32, n) // 0: local; g+1: remote[g]
+	sizes := []int{0}
+	groups := make(map[string]int32)
+	seed, ring := engine.KeySeed(fp), s.cluster.Ring()
+	for k := range slot {
+		owner, isLocal := ring.Owner(engine.KeyHash(seed, point(k)))
+		if !isLocal {
+			g, ok := groups[owner]
+			if !ok {
+				g = int32(len(sizes))
+				groups[owner] = g
+				remote = append(remote, &pointGroup{owner: owner})
+				sizes = append(sizes, 0)
+			}
+			slot[k] = g
 		}
-		g := groups[owner]
-		if g == nil {
-			g = &pointGroup{owner: owner}
-			groups[owner] = g
-			remote = append(remote, g)
+		sizes[slot[k]]++
+	}
+	local = make([]int, 0, sizes[0])
+	for g, grp := range remote {
+		grp.idx = make([]int, 0, sizes[g+1])
+	}
+	for k, g := range slot {
+		if g == 0 {
+			local = append(local, k)
+		} else {
+			remote[g-1].idx = append(remote[g-1].idx, k)
 		}
-		g.idx = append(g.idx, i)
 	}
 	return local, remote
 }
@@ -106,7 +124,7 @@ func (s *Server) streamRouted(ctx context.Context, ev dse.CtxEvaluator, ms Model
 	if s.cluster == nil || fp == "" {
 		return s.eng.EvaluateStream(ctx, ev, points, yield)
 	}
-	local, remote := s.partitionPoints(fp, points)
+	local, remote := s.partitionPoints(fp, len(points), func(k int) []float64 { return points[k] })
 	s.cluster.CountLocal(len(local))
 	s.cluster.CountRemote(len(points) - len(local))
 	if len(remote) == 0 {
@@ -232,10 +250,10 @@ func (s *Server) handlePeerEval(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePeerSweep runs a forwarded sub-sweep without re-partitioning
-// (the coordinator already split the slab by ring ownership; a second
-// split here could ping-pong under ring disagreement). The wire shape
-// is /v1/sweep's, except that the result frame's values are the
-// forwarded indices' values, in request order.
+// (the coordinator already split the request by ring ownership; a
+// second split here could ping-pong under ring disagreement). The wire
+// shape is /v1/sweep's, except that the result frame carries the
+// forwarded indices' values as Bits, in request order.
 func (s *Server) handlePeerSweep(w http.ResponseWriter, r *http.Request) {
 	s.serveSweep(w, r, false)
 }
@@ -270,19 +288,24 @@ func (p *remoteProgress) total() int64 {
 	return sum
 }
 
-// subSweepOutcome is one remote partition's merged contribution.
+// subSweepOutcome is one partition's contribution to the merge: dense
+// values by flat index (the local partition, or a group that fell back
+// to local compute), or a peer's Bits aligned with the group it was
+// sent.
 type subSweepOutcome struct {
 	values []float64
+	bits   []byte
+	group  []int
 	report dse.SweepReport
 	err    error
 }
 
 // clusterSweep is the cluster-partitioned sweep: the points are split
-// by ring ownership (partitionPoints, as for batches), the local share
-// runs through dse.SweepCtx (with the request's checkpoint machinery),
-// each remote share fans out as a peer sub-sweep whose progress frames
-// merge into rp, and the partial values, reports and checkpoints merge
-// back into one result.
+// by ring ownership (partitionPoints, as for batches, each point built
+// in one reused buffer), the local share runs through dse.SweepCtx
+// (with the request's checkpoint machinery), each remote share fans out
+// as a peer sub-sweep whose progress frames merge into rp, and the
+// partial values, reports and checkpoints merge back into one result.
 // A peer that dies mid-sub-sweep gets its share recomputed locally, so
 // the merged result is bit-identical to a single-node run.
 func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.Space, ev dse.CtxEvaluator, opts dse.SweepOptions, rp *remoteProgress) ([]float64, dse.SweepReport, error) {
@@ -293,7 +316,7 @@ func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.S
 	if fp == "" {
 		return dse.SweepCtx(ctx, ev, space, req.Indices, opts)
 	}
-	indices := req.Indices
+	indices := []int(req.Indices)
 	if indices == nil {
 		indices = make([]int, space.Size())
 		for i := range indices {
@@ -302,14 +325,14 @@ func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.S
 	}
 
 	// Partition the points by ownership of each one's memo key, then map
-	// the groups from positions in indices back to flat indices.
-	dims := space.Dims()
-	slab := make([]float64, len(indices)*dims)
-	points := make([][]float64, len(indices))
-	for k, idx := range indices {
-		points[k] = space.AppendPoint(slab[k*dims:k*dims], idx)
-	}
-	local, remote := s.partitionPoints(fp, points)
+	// the groups from positions in indices back to flat indices. One ring
+	// generation places every occurrence of a repeated index with the
+	// same owner, so the partitions are disjoint sets of flat indices.
+	buf := make([]float64, 0, space.Dims())
+	local, remote := s.partitionPoints(fp, len(indices), func(k int) []float64 {
+		buf = space.AppendPoint(buf[:0], indices[k])
+		return buf
+	})
 	s.cluster.CountLocal(len(local))
 	s.cluster.CountRemote(len(indices) - len(local))
 	if len(remote) == 0 {
@@ -344,45 +367,7 @@ func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.S
 	}
 	wg.Wait()
 
-	// Merge values and reports. The local partition's values win first
-	// (they may include resumed entries); remote partitions fill their
-	// own completed indices.
-	merged := make([]float64, space.Size())
-	for i := range merged {
-		merged[i] = math.NaN()
-	}
-	var rep dse.SweepReport
-	rep.Total = len(indices)
-	var firstErr error
-	for _, sub := range results {
-		if sub.values != nil {
-			for _, idx := range sub.report.Completed {
-				merged[idx] = sub.values[idx]
-			}
-		}
-		rep.Completed = append(rep.Completed, sub.report.Completed...)
-		rep.Failed = append(rep.Failed, sub.report.Failed...)
-		rep.Retries += sub.report.Retries
-		rep.Resumed += sub.report.Resumed
-		rep.CacheHits += sub.report.CacheHits
-		if sub.err != nil && !isContextErr(sub.err) && firstErr == nil {
-			firstErr = sub.err
-		}
-	}
-	sort.Ints(rep.Completed)
-	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Index < rep.Failed[j].Index })
-	seen := make([]bool, space.Size())
-	for _, idx := range rep.Completed {
-		seen[idx] = true
-	}
-	for _, f := range rep.Failed {
-		seen[f.Index] = true
-	}
-	for _, idx := range indices {
-		if !seen[idx] {
-			rep.Pending = append(rep.Pending, idx)
-		}
-	}
+	merged, rep, firstErr := mergePartitions(results, indices, space.Size())
 	rep.Canceled = ctx.Err() != nil
 
 	// One merged checkpoint supersedes the local partition's partial
@@ -397,6 +382,118 @@ func (s *Server) clusterSweep(ctx context.Context, req SweepRequest, space dse.S
 		return merged, rep, firstErr
 	}
 	return merged, rep, ctx.Err()
+}
+
+// mergePartitions merges the outcomes of a request for indices over a
+// space of size points, whose partitions hold disjoint sets of flat
+// indices. Each partition fills the values of its own completed indices
+// (a peer's Bits are read at no other position, so a frame cannot
+// place a value where it claims none), and its completed list arrives
+// sorted, so the lists merge rather than re-sort. Failures are unioned,
+// the indices no partition settled are pending, and the first error
+// that is not a cancellation is returned.
+func mergePartitions(results []subSweepOutcome, indices []int, size int) ([]float64, dse.SweepReport, error) {
+	merged := make([]float64, size)
+	for i := range merged {
+		merged[i] = math.NaN()
+	}
+	// settled holds completed indices while the values merge, then
+	// failed ones too.
+	settled := make([]bool, size)
+	runs := make([][]int, len(results))
+	rep := dse.SweepReport{Total: len(indices)}
+	var firstErr error
+	for i, sub := range results {
+		for _, idx := range sub.report.Completed {
+			settled[idx] = true
+		}
+		switch {
+		case sub.bits != nil:
+			for k, idx := range sub.group {
+				if settled[idx] {
+					merged[idx] = bitsAt(sub.bits, k)
+				}
+			}
+		case sub.values != nil:
+			for _, idx := range sub.report.Completed {
+				merged[idx] = sub.values[idx]
+			}
+		}
+		runs[i] = sub.report.Completed
+		rep.Failed = append(rep.Failed, sub.report.Failed...)
+		rep.Retries += sub.report.Retries
+		rep.Resumed += sub.report.Resumed
+		rep.CacheHits += sub.report.CacheHits
+		if sub.err != nil && !isContextErr(sub.err) && firstErr == nil {
+			firstErr = sub.err
+		}
+	}
+	rep.Completed = mergeSorted(runs)
+	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Index < rep.Failed[j].Index })
+	for _, f := range rep.Failed {
+		settled[f.Index] = true
+	}
+	for _, idx := range indices {
+		if !settled[idx] {
+			rep.Pending = append(rep.Pending, idx)
+		}
+	}
+	return merged, rep, firstErr
+}
+
+// mergeSorted merges ascending runs into one ascending list, one run at
+// a time, keeping duplicates: a repeated index completes once per
+// occurrence. Runs with no entries merge to nil, as an empty append
+// would leave it.
+func mergeSorted(runs [][]int) []int {
+	var out []int
+	for _, r := range runs {
+		if len(out) == 0 {
+			out = r
+			continue
+		}
+		if len(r) == 0 {
+			continue
+		}
+		merged := make([]int, len(out)+len(r))
+		i, j := 0, 0
+		for k := range merged {
+			if j == len(r) || i < len(out) && out[i] <= r[j] {
+				merged[k] = out[i]
+				i++
+			} else {
+				merged[k] = r[j]
+				j++
+			}
+		}
+		out = merged
+	}
+	if len(out) == 0 {
+		return nil
+	}
+	return out
+}
+
+// groupBits packs values[at[k]] at position k as little-endian
+// IEEE-754 bit patterns, 8 bytes each: a peer-sweep frame's Bits.
+func groupBits(values []float64, at []int) []byte {
+	b := make([]byte, 0, 8*len(at))
+	for _, idx := range at {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(values[idx]))
+	}
+	return b
+}
+
+// bitsAt reads the value at position k of a peer-sweep frame's Bits.
+func bitsAt(bits []byte, k int) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(bits[8*k:]))
+}
+
+// subSweepFrame is one NDJSON frame of a peer-sweep response, decoded
+// once: the frame's type is read in the same pass as its payload.
+type subSweepFrame struct {
+	SweepResult
+	Evaluated int64 `json:"evaluated"` // SweepProgress's count
 }
 
 // subSweep runs one remote partition: a peer-sweep exchange streaming
@@ -424,12 +521,7 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 			result = nil
 			return nil
 		}
-		// One decode per frame: a result frame is ~20 bytes a point, so
-		// the frame's type is read in the same pass as its payload.
-		var frame struct {
-			SweepResult
-			Evaluated int64 `json:"evaluated"` // SweepProgress's count
-		}
+		var frame subSweepFrame
 		if err := json.Unmarshal(line, &frame); err != nil {
 			return err
 		}
@@ -449,13 +541,7 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 	})
 	switch {
 	case err == nil && result != nil && result.Error == nil:
-		// Scatter the group's values to their flat indices; the merge
-		// reads only the indices the report completed.
-		values := make([]float64, space.Size())
-		for k, idx := range g.idx {
-			values[idx] = float64(result.Values[k])
-		}
-		return subSweepOutcome{values: values, report: result.Report}
+		return subSweepOutcome{bits: result.Bits, group: g.idx, report: result.Report}
 	case ctx.Err() != nil:
 		// Cancelled: leave the partition pending, exactly like an
 		// interrupted local sweep.
@@ -471,29 +557,37 @@ func (s *Server) subSweep(ctx context.Context, req SweepRequest, space dse.Space
 }
 
 // checkSubSweep holds a peer-sweep result frame to the rule peer-eval
-// responses meet: one value for each forwarded index, and completed and
-// failed indices that are a duplicate-free subset of the forwarded group
-// within the space of size points. Anything else fails the exchange, so
-// the group falls back to local compute instead of merging a bad frame
-// as data.
+// responses meet: an 8-byte bit pattern for each forwarded index, a
+// completed list sorted ascending, and completed and failed indices
+// inside the space of size points and in the forwarded group, each
+// claimed at most as often as the group holds it (a repeated index
+// completes once per occurrence). Anything else, a frame with decimal
+// values and no bits included, fails the exchange, so the group falls
+// back to local compute instead of merging a bad frame as data.
 func checkSubSweep(res *SweepResult, size int, group []int) error {
-	if len(res.Values) != len(group) {
-		return fmt.Errorf("server: peer-sweep result carries %d values for a group of %d", len(res.Values), len(group))
+	if len(res.Bits) != 8*len(group) {
+		return fmt.Errorf("server: peer-sweep result carries %d value bytes for a group of %d, want 8 a value", len(res.Bits), len(group))
 	}
-	open := make([]bool, size)
+	completed := res.Report.Completed
+	for k := 1; k < len(completed); k++ {
+		if completed[k] < completed[k-1] {
+			return fmt.Errorf("server: peer-sweep completed list is not sorted at position %d", k)
+		}
+	}
+	open := make([]int32, size) // claims left, by flat index
 	for _, idx := range group {
 		if idx >= 0 && idx < size {
-			open[idx] = true
+			open[idx]++
 		}
 	}
 	claim := func(idx int) error {
-		if idx < 0 || idx >= size || !open[idx] {
-			return fmt.Errorf("server: peer-sweep reports index %d outside the forwarded group or twice", idx)
+		if idx < 0 || idx >= size || open[idx] == 0 {
+			return fmt.Errorf("server: peer-sweep reports index %d outside the forwarded group or more often than forwarded", idx)
 		}
-		open[idx] = false
+		open[idx]--
 		return nil
 	}
-	for _, idx := range res.Report.Completed {
+	for _, idx := range completed {
 		if err := claim(idx); err != nil {
 			return err
 		}

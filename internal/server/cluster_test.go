@@ -336,46 +336,67 @@ func TestClusterSweepSurvivesPeerDeath(t *testing.T) {
 
 // TestClusterSweepRejectsBadPeerFrames points the coordinator at a
 // fake peer whose peer-sweep result frames are forged: a completed index
-// far outside the space, a completed index twice (each with one value
-// per forwarded index, so only the index is wrong), and frames claiming
-// every forwarded point with an empty values array, with dense values
-// for the whole space, or with one value short. Each must fail the
-// exchange like a short peer-eval response: the group falls back to
-// local compute and the sweep returns the single node's bits, never a
-// panic or NaN.
+// far outside the space, a completed index claimed more often than it
+// was forwarded, a completed list out of order (each with 8 bytes of
+// bits per forwarded index, so only the index list is wrong), frames
+// claiming every forwarded point with no bits, with bits for the whole
+// space, one value short or with a 7-byte partial value, and a frame in
+// the older decimal shape, group-aligned values and no bits, as a peer
+// on an older version sends it. Each must fail the exchange like a short
+// peer-eval response: the group falls back to local compute and the
+// sweep returns the single node's bits, never a panic or NaN.
 func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 2}, IncludeValues: true}
 	_, single := newTestServer(t, Options{})
 	want := sweepOver(t, single.URL, req)
 	size := len(want.Values)
 
-	const badIndex, badCount = "outside the forwarded group or twice", "values for a group of"
+	const (
+		badIndex = "outside the forwarded group or more often than forwarded"
+		badBytes = "value bytes for a group of"
+		unsorted = "not sorted"
+	)
+	// forged claims completed for a group with n bytes of bits.
+	forged := func(group, completed []int, n int) SweepResult {
+		return SweepResult{
+			Type:   "result",
+			Report: dse.SweepReport{Total: len(group), Completed: completed},
+			Bits:   make([]byte, n),
+		}
+	}
 	forgeries := []struct {
 		name   string
 		reason string // in checkSubSweep's error for the forged frame
 		forge  func(group []int) SweepResult
 	}{
 		{"index outside the space", badIndex, func(group []int) SweepResult {
-			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: []int{1 << 20}}}
-			res.Values = make(valueList, len(group))
-			return res
+			return forged(group, []int{1 << 20}, 8*len(group))
 		}},
-		{"index twice", badIndex, func(group []int) SweepResult {
-			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: []int{group[0], group[0]}}}
-			res.Values = make(valueList, len(group))
-			return res
+		{"index claimed more often than forwarded", badIndex, func(group []int) SweepResult {
+			return forged(group, []int{group[0], group[0]}, 8*len(group))
 		}},
-		{"empty values", badCount, func(group []int) SweepResult {
-			return SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
+		{"unsorted completed", unsorted, func(group []int) SweepResult {
+			backwards := make([]int, len(group))
+			for k, idx := range group {
+				backwards[len(group)-1-k] = idx
+			}
+			return forged(group, backwards, 8*len(group))
 		}},
-		{"dense whole-space values", badCount, func(group []int) SweepResult {
+		{"no values", badBytes, func(group []int) SweepResult {
+			return forged(group, group, 0)
+		}},
+		{"whole-space values", badBytes, func(group []int) SweepResult {
+			return forged(group, group, 8*size)
+		}},
+		{"one value short", badBytes, func(group []int) SweepResult {
+			return forged(group, group, 8*(len(group)-1))
+		}},
+		{"7-byte partial value", badBytes, func(group []int) SweepResult {
+			return forged(group, group, 8*len(group)-1)
+		}},
+		{"legacy decimal values", badBytes, func(group []int) SweepResult {
 			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
-			res.Values = make(valueList, size)
-			return res
-		}},
-		{"one value short", badCount, func(group []int) SweepResult {
-			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
-			res.Values = make(valueList, len(group)-1)
+			res.Values = make(valueList, len(group))
 			return res
 		}},
 	}
@@ -387,9 +408,10 @@ func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 			http.Error(w, "bad peer-sweep request", http.StatusBadRequest)
 			return
 		}
-		lastGroup.Store(&sub.Indices)
+		group := []int(sub.Indices)
+		lastGroup.Store(&group)
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = json.NewEncoder(w).Encode(forgeries[current.Load()].forge(sub.Indices))
+		_ = json.NewEncoder(w).Encode(forgeries[current.Load()].forge(group))
 	}))
 	t.Cleanup(fake.Close)
 
@@ -425,8 +447,8 @@ func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 			t.Fatalf("%s: the forged frame was merged; no point fell back to local compute", f.name)
 		}
 		group := *lastGroup.Load()
-		forged := f.forge(group)
-		if err := checkSubSweep(&forged, size, group); err == nil || !strings.Contains(err.Error(), f.reason) {
+		frame := f.forge(group)
+		if err := checkSubSweep(&frame, size, group); err == nil || !strings.Contains(err.Error(), f.reason) {
 			t.Fatalf("%s: checkSubSweep = %v, want an error naming %q", f.name, err, f.reason)
 		}
 	}
@@ -435,11 +457,98 @@ func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 	}
 }
 
+// TestClusterSweepRepeatedIndices sweeps a request naming each of the
+// indices 0–63 twice through a two-peer cluster. A peer's sweep
+// completes a repeated index once per occurrence, and the frame rule
+// lets an index be claimed as often as it was forwarded, so the result
+// is the single node's (values, and completed, failed and pending
+// lists) with no point falling back, and the peer's breaker stays
+// closed over more requests than its failure threshold.
+func TestClusterSweepRepeatedIndices(t *testing.T) {
+	indices := make([]int, 0, 128)
+	for i := 0; i < 128; i++ {
+		indices = append(indices, i%64)
+	}
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 3}, Indices: indices, IncludeValues: true}
+	_, single := newTestServer(t, Options{})
+	want := sweepOver(t, single.URL, req)
+	if len(want.Report.Completed) != len(indices) {
+		t.Fatalf("single node completed %d of %d occurrences", len(want.Report.Completed), len(indices))
+	}
+
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{})
+	for run := 0; run < 3; run++ {
+		got := sweepOver(t, peers[0].url, req)
+		label := fmt.Sprintf("request %d", run)
+		wantBitIdentical(t, label, want.Values, got.Values)
+		if got.Report.Total != want.Report.Total {
+			t.Fatalf("%s: total %d, want %d", label, got.Report.Total, want.Report.Total)
+		}
+		for _, l := range []struct {
+			name      string
+			got, want interface{}
+		}{
+			{"completed", got.Report.Completed, want.Report.Completed},
+			{"failed", got.Report.Failed, want.Report.Failed},
+			{"pending", got.Report.Pending, want.Report.Pending},
+		} {
+			if fmt.Sprint(l.got) != fmt.Sprint(l.want) {
+				t.Fatalf("%s: %s %v, want the single node's %v", label, l.name, l.got, l.want)
+			}
+		}
+		if fb := peers[0].reg.Counter("cluster_fallback_points_total").Value(); fb != 0 {
+			t.Fatalf("%s: %d points fell back to local compute", label, fb)
+		}
+	}
+	if peers[0].reg.Counter("cluster_remote_points_total").Value() == 0 {
+		t.Fatal("no points were routed to the remote peer")
+	}
+	if open, err := peers[0].cl.BreakerOpen(peers[1].name); err != nil || open {
+		t.Fatalf("breaker open = %v (err %v), want closed", open, err)
+	}
+}
+
+// TestMergePartitionsReadsOnlyCompletedBits merges a local partition
+// with a peer frame that forwards a repeated index, fails one index and
+// leaves one pending, with -1e300 in the bits at both of those: the
+// merge reads the bits only at completed indices (so the sweep's best
+// cannot land on an index nobody completed), merges the sorted lists
+// with the repeat kept, and reports the unsettled index pending.
+func TestMergePartitionsReadsOnlyCompletedBits(t *testing.T) {
+	const size = 8
+	nan := math.NaN()
+	local := subSweepOutcome{
+		values: []float64{4, nan, 6, nan, nan, nan, nan, nan},
+		report: dse.SweepReport{Completed: []int{0, 2}},
+	}
+	group := []int{5, 1, 5, 3, 7}
+	values := []float64{nan, -1e300, nan, 2.5, nan, 1.5, nan, -1e300}
+	remote := subSweepOutcome{
+		bits:   groupBits(values, group),
+		group:  group,
+		report: dse.SweepReport{Completed: []int{3, 5, 5}, Failed: []dse.IndexFailure{{Index: 1, Attempts: 2, Err: "boom"}}},
+	}
+	indices := []int{0, 2, 5, 1, 5, 3, 7}
+	merged, rep, err := mergePartitions([]subSweepOutcome{local, remote}, indices, size)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []float64{4, nan, 6, 2.5, nan, 1.5, nan, nan}
+	for i := range want {
+		if math.Float64bits(merged[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("merged[%d] = %v, want %v (merged %v)", i, merged[i], want[i], merged)
+		}
+	}
+	if got := fmt.Sprint(rep.Total, rep.Completed, rep.Failed, rep.Pending); got != "7 [0 2 3 5 5] [{1 2 boom}] [7]" {
+		t.Fatalf("report total, completed, failed, pending = %s", got)
+	}
+}
+
 // TestPeerSweepReturnsGroupValues POSTs a peer sub-sweep directly with a
-// shuffled subset of a 729-point space: its result frame carries one
-// value per forwarded index, in request order, each bit-identical to the
-// single node's value at that index, and reports exactly that subset
-// completed.
+// shuffled subset of a 729-point space: its result frame carries 8
+// bytes of bits per forwarded index, in request order, each value
+// bit-identical to the single node's at that index, no decimal values,
+// and reports exactly that subset completed.
 func TestPeerSweepReturnsGroupValues(t *testing.T) {
 	space := SpaceSpec{Per: 3}
 	_, single := newTestServer(t, Options{})
@@ -473,12 +582,13 @@ func TestPeerSweepReturnsGroupValues(t *testing.T) {
 	if res.Type != "result" || res.Error != nil {
 		t.Fatalf("last frame type %q, error %+v; want a clean result", res.Type, res.Error)
 	}
-	if len(res.Values) != len(indices) {
-		t.Fatalf("result carries %d values for %d forwarded indices", len(res.Values), len(indices))
+	if len(res.Bits) != 8*len(indices) || res.Values != nil {
+		t.Fatalf("result carries %d bytes of bits and %d decimal values for %d forwarded indices",
+			len(res.Bits), len(res.Values), len(indices))
 	}
 	for k, idx := range indices {
-		if got, w := math.Float64bits(float64(res.Values[k])), math.Float64bits(float64(want.Values[idx])); got != w {
-			t.Fatalf("values[%d] (index %d) = %x, want the single node's %x", k, idx, got, w)
+		if got, w := math.Float64bits(bitsAt(res.Bits, k)), math.Float64bits(float64(want.Values[idx])); got != w {
+			t.Fatalf("bits[%d] (index %d) = %x, want the single node's %x", k, idx, got, w)
 		}
 	}
 	sorted := append([]int(nil), indices...)

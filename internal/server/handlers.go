@@ -331,7 +331,7 @@ type SweepRequest struct {
 	Space     SpaceSpec     `json:"space"`
 	// Indices restricts the sweep to these flat indices (nil: the whole
 	// space).
-	Indices []int `json:"indices,omitempty"`
+	Indices dse.IndexList `json:"indices,omitempty"`
 	// Checkpoint names a checkpoint file inside the server's checkpoint
 	// directory; Resume restores it before sweeping.
 	Checkpoint string `json:"checkpoint,omitempty"`
@@ -340,8 +340,7 @@ type SweepRequest struct {
 	// periodic checkpoint writes (0: the sweep default).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
 	// IncludeValues asks for the values in the result frame: dense over
-	// the space, except that a peer-sweep frame carries only the values
-	// at Indices, in request order.
+	// the space, except that a peer-sweep frame carries them as Bits.
 	IncludeValues bool `json:"include_values,omitempty"`
 	// ProgressMS is the progress-frame cadence in milliseconds (0: 500).
 	ProgressMS int `json:"progress_ms,omitempty"`
@@ -364,6 +363,10 @@ type SweepResult struct {
 	Type   string          `json:"type"` // "result"
 	Report dse.SweepReport `json:"report"`
 	SweepJobResult
+	// Bits is a peer-sweep frame's values: the values at the forwarded
+	// Indices, in request order, as little-endian IEEE-754 bit patterns,
+	// 8 bytes each (base64 in the JSON). /v1/sweep frames never carry it.
+	Bits   []byte       `json:"bits,omitempty"`
 	Error  *ErrorBody   `json:"error,omitempty"`
 	Engine engine.Stats `json:"engine"`
 }
@@ -464,7 +467,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		return
 	}
 	defer unlock()
-	sr.groupValues = !partition
+	sr.groupBits = !partition
 
 	rp := newRemoteProgress()
 	sweep := dse.SweepCtx
@@ -481,12 +484,12 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 	stats0 := s.eng.Stats()
 	out := newNDJSONWriter(w)
 
-	frame := SweepResult{Type: "result"}
+	var frame SweepResult
 	var sweepErr error
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		frame.SweepJobResult, frame.Report, sweepErr = sr.run(r.Context(), sweep)
+		frame, sweepErr = sr.run(r.Context(), sweep)
 	}()
 	ticker := time.NewTicker(cadence)
 	defer ticker.Stop()
@@ -519,9 +522,9 @@ type sweepRun struct {
 	space dse.Space
 	ev    dse.CtxEvaluator
 	opts  dse.SweepOptions
-	// groupValues renders only the values at req.Indices, in their order:
-	// the peer-sweep frame, whose coordinator scatters them by index.
-	groupValues bool
+	// groupBits renders the values as the peer-sweep frame's Bits, not
+	// as dense values: its coordinator merges them by forwarded index.
+	groupBits bool
 }
 
 // sweepInputs resolves a sweep request's model (any family), space and
@@ -579,24 +582,26 @@ func (s *Server) openSweep(sr *sweepRun, path string, resume bool, n *atomic.Int
 // clusterSweep that serveSweep picks for /v1/sweep in a cluster.
 type sweepFunc func(ctx context.Context, ev dse.CtxEvaluator, space dse.Space, indices []int, opts dse.SweepOptions) ([]float64, dse.SweepReport, error)
 
-// run sweeps sr with sweep and renders the best design, plus the values
-// when the request asks for them. Every field derives from the values
-// alone, so a resumed run reproduces it bit for bit.
-func (sr *sweepRun) run(ctx context.Context, sweep sweepFunc) (SweepJobResult, dse.SweepReport, error) {
+// run sweeps sr with sweep and renders its result frame: the report,
+// the best design, and the values when the request asks for them. The
+// best design and values derive from the values alone, so a resumed run
+// reproduces them bit for bit.
+func (sr *sweepRun) run(ctx context.Context, sweep sweepFunc) (SweepResult, error) {
 	values, report, err := sweep(ctx, sr.ev, sr.space, sr.req.Indices, sr.opts)
 	idx, val := dse.Best(values)
-	res := SweepJobResult{BestIndex: idx, BestValue: bestValue(idx, val)}
+	res := SweepResult{Type: "result", Report: report}
+	res.BestIndex, res.BestValue = idx, bestValue(idx, val)
 	if idx >= 0 {
 		res.BestPoint = sr.space.Point(idx)
 	}
-	if sr.req.IncludeValues {
-		var at []int // nil: every value
-		if sr.groupValues {
-			at = sr.req.Indices
-		}
-		res.Values = valuesAt(values, at)
+	switch {
+	case !sr.req.IncludeValues:
+	case sr.groupBits:
+		res.Bits = groupBits(values, sr.req.Indices)
+	default:
+		res.Values = valuesOf(values)
 	}
-	return res, report, err
+	return res, err
 }
 
 // --- APS -------------------------------------------------------------

@@ -490,8 +490,8 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry, req *SweepReques
 		return nil, nil, err
 	}
 	defer unlock()
-	res, report, err := sr.run(ctx, dse.SweepCtx)
-	return res, &report, err
+	res, err := sr.run(ctx, dse.SweepCtx)
+	return res.SweepJobResult, &res.Report, err
 }
 
 // runAPS executes an APS job attempt through the /v1/aps runner, for

@@ -51,19 +51,11 @@ func (f *jsonFloat) UnmarshalJSON(data []byte) error {
 // with the same bits (FuzzValueListMatchesElementwise holds both).
 type valueList []jsonFloat
 
-// valuesAt renders values for the wire: all of them when idx is nil,
-// otherwise values[idx[k]] at position k.
-func valuesAt(values []float64, idx []int) valueList {
-	if idx == nil {
-		out := make(valueList, len(values))
-		for i, v := range values {
-			out[i] = jsonFloat(v)
-		}
-		return out
-	}
-	out := make(valueList, len(idx))
-	for k, i := range idx {
-		out[k] = jsonFloat(values[i])
+// valuesOf renders dense values for the wire.
+func valuesOf(values []float64) valueList {
+	out := make(valueList, len(values))
+	for i, v := range values {
+		out[i] = jsonFloat(v)
 	}
 	return out
 }
