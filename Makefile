@@ -91,10 +91,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzDecodePeerEval -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzLoadTenantsFile -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzLoadPeersFile -fuzztime 10s ./internal/cluster
-	$(GO) test -run XXX -fuzz FuzzCheckSubSweep -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzValueListMatchesElementwise -fuzztime 10s ./internal/server
-	$(GO) test -run XXX -fuzz FuzzIndexListMatchesInts -fuzztime 10s ./internal/server
-	$(GO) test -run XXX -fuzz FuzzPeerSweepBitsRoundTrip -fuzztime 10s ./internal/server
 
 clean:
 	$(GO) clean ./...

@@ -184,6 +184,25 @@ func TestFacadeDSEAndAPS(t *testing.T) {
 	}
 }
 
+// TestFacadeSweepWithoutEngine sweeps with no WithEngine option: the
+// sweep runs on an uncached default engine, never on a nil one.
+func TestFacadeSweepWithoutEngine(t *testing.T) {
+	space := paperSpace(t, 2)
+	eval := c2bound.EvaluatorFunc(func(p []float64) float64 { return p[0] + 1000/p[3] })
+	values, report, err := c2bound.Sweep(context.Background(), c2bound.AdaptEvaluator(eval), space)
+	if err != nil {
+		t.Fatalf("Sweep: %v", err)
+	}
+	if len(report.Completed) != space.Size() || report.CacheHits != 0 {
+		t.Fatalf("completed %d of %d, %d cache hits", len(report.Completed), space.Size(), report.CacheHits)
+	}
+	for i := range values {
+		if want := eval(space.Point(i)); values[i] != want {
+			t.Fatalf("Sweep disagrees with the evaluator at %d: %v vs %v", i, values[i], want)
+		}
+	}
+}
+
 func TestFacadeV2Options(t *testing.T) {
 	chipCfg := c2bound.DefaultChip()
 	space := paperSpace(t, 3)

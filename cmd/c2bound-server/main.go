@@ -22,8 +22,8 @@
 //
 // -peers joins the process to a cluster (DESIGN.md §15): the JSON
 // membership table ({"self":..., "peers":[{name, url}]}) builds a
-// consistent-hash ring over the peers, remote-owned points travel to
-// their owner's cache, and sweeps are partitioned by ownership.
+// consistent-hash ring over the peers, and the remote-owned points of
+// evaluates, batches and sweeps travel to their owner's cache.
 // -peer-self overrides the file's "self" so every peer can share one
 // table. SIGHUP re-reads the table too (membership changes move only the
 // affected ring shard). -cache-snapshot persists the memo cache to disk

@@ -4,79 +4,326 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
-	"strconv"
-	"strings"
+	"sort"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/robust"
 )
 
-// The peer wire protocol. Values cross the wire as 16-hex-digit
-// IEEE-754 bit patterns, not decimal floats: the cluster's correctness
-// contract is bit-identity with a single-node run, and raw bits make
-// that exact by construction (NaN payloads, −0 and ±Inf included)
-// without the quoted-string special cases JSON floats need.
+// The peer wire protocol: one exchange, POST /internal/v1/peer-eval,
+// carries a batch of points to their owner and the outcomes back. Each
+// body is a JSON header line followed by raw little-endian IEEE-754 bit
+// patterns. The cluster's correctness contract is bit-identity with a
+// single-node run, and raw bits make that exact by construction (NaN
+// payloads, −0 and ±Inf included) at 8 bytes a value, with no decimal
+// encode or parse on either side.
+//
+//	request:  {"model":…,"evaluator":…,"points":n,"dims":d}\n
+//	          then the n points' d coordinates each, point by point
+//	response: {"points":n,"failed":[{"index":i,"error":"…"},…]}\n
+//	          then the n values, then one attempts byte per point
+//
+// An attempts byte counts the owner's evaluator invocations for the
+// point, saturating at 255; 0 means its cache (or a concurrent
+// computation of the same key) served it. Failures are listed in
+// ascending index order, with their error text.
 
-// PeerEvalRequest is the POST /internal/v1/peer-eval body. Model and
-// Evaluator are the coordinator's wire specs verbatim — opaque bytes to
-// this package, re-resolved by the owner's catalog so both sides build
-// the identical evaluator (and the identical fingerprint, which is what
-// makes the owner's cache authoritative for these points).
+// peerEvalPath is the one peer exchange's endpoint.
+const peerEvalPath = "/internal/v1/peer-eval"
+
+// MaxBatchPoints bounds the points of one exchange. EvalOnPeer sends a
+// larger group in exchanges of at most this many points, one after
+// another, and ReadPeerEvalRequest rejects a request for more.
+const MaxBatchPoints = 1 << 17
+
+const (
+	// maxDims bounds the coordinates of a request's points.
+	maxDims = 64
+	// maxHeaderBytes bounds a header line.
+	maxHeaderBytes = 64 << 20
+	// blockPoints is how many points a request body encodes, and its
+	// reader decodes into one slab, at a time.
+	blockPoints = 1024
+)
+
+// PeerEvalRequest is one batch for its owner. Model and Evaluator are
+// the coordinator's wire specs verbatim — opaque bytes to this package,
+// re-resolved by the owner's catalog so both sides build the identical
+// evaluator (and the identical fingerprint, which is what makes the
+// owner's cache authoritative for these points). Every point has the
+// same number of coordinates.
 type PeerEvalRequest struct {
-	Model     json.RawMessage `json:"model"`
-	Evaluator json.RawMessage `json:"evaluator,omitempty"`
-	Points    [][]float64     `json:"points"`
-}
-
-// PeerEvalResult is one NDJSON line of a peer-eval response.
-type PeerEvalResult struct {
-	Index int `json:"index"`
-	// Bits is the value's IEEE-754 bit pattern as 16 hex digits.
-	Bits     string `json:"bits,omitempty"`
-	CacheHit bool   `json:"cache_hit,omitempty"`
-	Error    string `json:"error,omitempty"`
-}
-
-// PeerEvalSummary is the final NDJSON line of a peer-eval response.
-type PeerEvalSummary struct {
-	Done   bool `json:"done"`
-	Points int  `json:"points"`
-	Errors int  `json:"errors"`
-}
-
-// FormatBits renders a value for the peer wire.
-func FormatBits(v float64) string {
-	return fmt.Sprintf("%016x", math.Float64bits(v))
-}
-
-// ParseBits decodes a peer wire value. It accepts only what FormatBits
-// writes, 16 lowercase hex digits, so a truncated or padded value is an
-// error rather than a different float.
-func ParseBits(s string) (float64, error) {
-	bits, err := strconv.ParseUint(s, 16, 64)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: value bits %q: %w", s, err)
-	}
-	if len(s) != 16 || strings.ToLower(s) != s {
-		return 0, fmt.Errorf("cluster: value bits %q: want 16 lowercase hex digits", s)
-	}
-	return math.Float64frombits(bits), nil
+	Model     json.RawMessage
+	Evaluator json.RawMessage
+	Points    [][]float64
 }
 
 // PeerOutcome is one remote evaluation result.
 type PeerOutcome struct {
-	Value    float64
+	Value float64
+	// Attempts is the owner's evaluator invocations for the point (0
+	// when its cache or a shared in-flight computation served it).
+	Attempts int
 	CacheHit bool
 	// Err carries a per-point evaluation error reported by the owner
 	// (the exchange itself succeeded).
 	Err error
+}
+
+// requestHeader is a request's header line.
+type requestHeader struct {
+	Model     json.RawMessage `json:"model"`
+	Evaluator json.RawMessage `json:"evaluator,omitempty"`
+	Points    int             `json:"points"`
+	Dims      int             `json:"dims"`
+}
+
+// responseHeader is a response's header line.
+type responseHeader struct {
+	Points int           `json:"points"`
+	Failed []peerFailure `json:"failed,omitempty"`
+}
+
+type peerFailure struct {
+	Index int    `json:"index"`
+	Error string `json:"error"`
+}
+
+// requestBody streams one exchange's request from its points: the
+// header line, then blocks of coordinates encoded as the transport
+// reads them, so the body is never held whole.
+type requestBody struct {
+	points [][]float64
+	next   int    // the first point not yet encoded
+	buf    []byte // encoded and not yet read
+	block  []byte
+}
+
+func newRequestBody(head []byte, points [][]float64) *requestBody {
+	return &requestBody{points: points, buf: head}
+}
+
+// Read implements io.Reader.
+func (b *requestBody) Read(p []byte) (int, error) {
+	if len(b.buf) == 0 {
+		if b.next == len(b.points) {
+			return 0, io.EOF
+		}
+		if b.block == nil {
+			b.block = make([]byte, 0, 8*blockPoints*len(b.points[0]))
+		}
+		b.buf = b.block[:0]
+		for end := min(b.next+blockPoints, len(b.points)); b.next < end; b.next++ {
+			for _, v := range b.points[b.next] {
+				b.buf = binary.LittleEndian.AppendUint64(b.buf, math.Float64bits(v))
+			}
+		}
+	}
+	n := copy(p, b.buf)
+	b.buf = b.buf[n:]
+	return n, nil
+}
+
+// ReadPeerEvalRequest decodes a peer-eval request body: a header line
+// naming 1 to MaxBatchPoints points of 1 to 64 coordinates, then
+// exactly their bits. The points are sliced from slabs of blockPoints
+// points each, allocated as the bytes arrive, so beyond the point list
+// (24 bytes a point) what a request costs follows what it sends rather
+// than what its header claims.
+func ReadPeerEvalRequest(r io.Reader) (PeerEvalRequest, error) {
+	br := bufio.NewReaderSize(r, 32<<10)
+	var h requestHeader
+	if err := readHeader(br, &h); err != nil {
+		return PeerEvalRequest{}, fmt.Errorf("cluster: peer-eval request header: %w", err)
+	}
+	if h.Points < 1 || h.Points > MaxBatchPoints {
+		return PeerEvalRequest{}, fmt.Errorf("cluster: peer-eval request of %d points, want 1 to %d", h.Points, MaxBatchPoints)
+	}
+	if h.Dims < 1 || h.Dims > maxDims {
+		return PeerEvalRequest{}, fmt.Errorf("cluster: peer-eval points of %d coordinates, want 1 to %d", h.Dims, maxDims)
+	}
+	d := h.Dims
+	points := make([][]float64, 0, h.Points)
+	for len(points) < h.Points {
+		slab := make([]float64, d*min(h.Points-len(points), blockPoints))
+		err := readRecords(br, len(slab), 8, func(k int, b []byte) {
+			for j := range len(b) / 8 {
+				slab[k+j] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))
+			}
+		})
+		if err != nil {
+			return PeerEvalRequest{}, shortBody("request", err)
+		}
+		for lo := 0; lo < len(slab); lo += d {
+			points = append(points, slab[lo:lo+d:lo+d])
+		}
+	}
+	if err := atEOF(br); err != nil {
+		return PeerEvalRequest{}, fmt.Errorf("cluster: peer-eval request: %w", err)
+	}
+	return PeerEvalRequest{Model: h.Model, Evaluator: h.Evaluator, Points: points}, nil
+}
+
+// PeerEvalResponse is a peer-eval response body being filled in: the
+// owner sets each point's outcome as it completes, in any order, then
+// writes the body. It holds the payload as it goes on the wire, 9 bytes
+// a point.
+type PeerEvalResponse struct {
+	payload []byte // the values, then the attempts bytes
+	failed  []peerFailure
+}
+
+// NewPeerEvalResponse starts the response to a request for n points.
+func NewPeerEvalResponse(n int) *PeerEvalResponse {
+	return &PeerEvalResponse{payload: make([]byte, 9*n)}
+}
+
+// Set records the outcome of point i; each point is set once.
+func (r *PeerEvalResponse) Set(i int, o PeerOutcome) {
+	n := len(r.payload) / 9
+	binary.LittleEndian.PutUint64(r.payload[8*i:], math.Float64bits(o.Value))
+	a := min(max(o.Attempts, 0), math.MaxUint8)
+	if o.CacheHit && o.Err == nil {
+		a = 0
+	}
+	r.payload[8*n+i] = byte(a)
+	if o.Err != nil {
+		r.failed = append(r.failed, peerFailure{Index: i, Error: o.Err.Error()})
+	}
+}
+
+// WriteTo writes the body: the header line, with the failures in index
+// order, then the payload.
+func (r *PeerEvalResponse) WriteTo(w io.Writer) (int64, error) {
+	sort.Slice(r.failed, func(a, b int) bool { return r.failed[a].Index < r.failed[b].Index })
+	head, err := json.Marshal(responseHeader{Points: len(r.payload) / 9, Failed: r.failed})
+	if err != nil {
+		return 0, fmt.Errorf("cluster: encoding peer-eval response: %w", err)
+	}
+	n, err := w.Write(append(head, '\n'))
+	if err != nil {
+		return int64(n), err
+	}
+	m, err := w.Write(r.payload)
+	return int64(n + m), err
+}
+
+// decodePeerEval reads a peer-eval response into outs, one outcome per
+// point sent. Anything but a complete response for exactly len(outs)
+// points — a header naming another count or an unknown field, a failure
+// index out of range or out of ascending order, a payload cut short or
+// followed by more bytes — is an error: the exchange failed, and the
+// caller computes the points locally instead of treating absence as
+// data.
+func decodePeerEval(r io.Reader, outs []PeerOutcome) error {
+	br := bufio.NewReaderSize(r, 32<<10)
+	var h responseHeader
+	if err := readHeader(br, &h); err != nil {
+		return fmt.Errorf("cluster: peer-eval response header: %w", err)
+	}
+	n := len(outs)
+	if h.Points != n {
+		return fmt.Errorf("cluster: peer-eval response for %d points, want %d", h.Points, n)
+	}
+	err := readRecords(br, n, 8, func(k int, b []byte) {
+		for j := range len(b) / 8 {
+			outs[k+j] = PeerOutcome{Value: math.Float64frombits(binary.LittleEndian.Uint64(b[8*j:]))}
+		}
+	})
+	if err == nil {
+		err = readRecords(br, n, 1, func(k int, b []byte) {
+			for j, a := range b {
+				outs[k+j].Attempts, outs[k+j].CacheHit = int(a), a == 0
+			}
+		})
+	}
+	if err != nil {
+		return shortBody("response", err)
+	}
+	if err := atEOF(br); err != nil {
+		return fmt.Errorf("cluster: peer-eval response: %w", err)
+	}
+	prev := -1
+	for _, f := range h.Failed {
+		if f.Index <= prev || f.Index >= n {
+			return fmt.Errorf("cluster: peer-eval failure index %d out of range or order (after %d, of %d points)", f.Index, prev, n)
+		}
+		prev = f.Index
+		outs[f.Index].CacheHit = false
+		outs[f.Index].Err = errors.New(f.Error)
+	}
+	return nil
+}
+
+// readRecords reads n records of size bytes each, handing them to put
+// a buffer at a time: put(k, b) gets records k, k+1, … packed in b.
+func readRecords(br *bufio.Reader, n, size int, put func(k int, b []byte)) error {
+	for k := 0; k < n; {
+		m := min(n-k, br.Size()/size)
+		b, err := br.Peek(size * m)
+		if err != nil {
+			return err
+		}
+		put(k, b)
+		_, _ = br.Discard(size * m)
+		k += m
+	}
+	return nil
+}
+
+// readHeader decodes a body's header line into v strictly: one JSON
+// object with no unknown field, at most maxHeaderBytes long.
+func readHeader(br *bufio.Reader, v any) error {
+	var line []byte
+	for {
+		frag, err := br.ReadSlice('\n')
+		line = append(line, frag...)
+		if len(line) > maxHeaderBytes {
+			return fmt.Errorf("header longer than %d bytes", maxHeaderBytes)
+		}
+		if err == nil {
+			break
+		}
+		if err != bufio.ErrBufferFull {
+			return shortBody("header", err)
+		}
+	}
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the header")
+	}
+	return nil
+}
+
+// shortBody names a body that ended before its payload did.
+func shortBody(what string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("short peer-eval %s: %w", what, err)
+}
+
+// atEOF requires the body to end here.
+func atEOF(br *bufio.Reader) error {
+	if _, err := br.ReadByte(); err != io.EOF {
+		if err != nil {
+			return err
+		}
+		return errors.New("data after the payload")
+	}
+	return nil
 }
 
 // errPeerOpen reports a request rejected by an open circuit breaker
@@ -84,32 +331,46 @@ type PeerOutcome struct {
 var errPeerOpen = errors.New("cluster: peer circuit breaker is open")
 
 // EvalOnPeer sends a point batch to its owner peer and returns the
-// outcomes in point order. Any transport-level failure — breaker open,
-// connection refused, bad status, short or malformed response — is
-// returned whole so the caller can fall back to local compute; per-point
-// evaluation errors come back inside the outcomes. The exchange is
-// retried under the cluster's bounded retry policy and recorded against
-// the peer's circuit breaker.
+// outcomes in point order. A batch above MaxBatchPoints travels in
+// exchanges of at most that many points, one after another. Any
+// transport-level failure of any of them — breaker open, connection
+// refused, bad status, short or malformed response — is returned whole
+// so the caller can fall back to local compute; per-point evaluation
+// errors come back inside the outcomes. Each exchange is retried under
+// the cluster's bounded retry policy, its body rebuilt from the points
+// on every attempt, and recorded against the peer's circuit breaker.
 func (c *Cluster) EvalOnPeer(ctx context.Context, peerName string, req PeerEvalRequest) ([]PeerOutcome, error) {
 	p := c.peer(peerName)
 	if p == nil {
 		return nil, fmt.Errorf("cluster: unknown peer %q", peerName)
 	}
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: encoding peer-eval request: %w", err)
+	dims := 0
+	if len(req.Points) > 0 {
+		dims = len(req.Points[0])
+	}
+	for _, pt := range req.Points {
+		if len(pt) != dims {
+			return nil, fmt.Errorf("cluster: peer-eval points of %d and %d coordinates", dims, len(pt))
+		}
 	}
 	var outs []PeerOutcome
-	err = c.exchange(ctx, p, "cluster.peer_eval", "/internal/v1/peer-eval", body, func(resp io.Reader) error {
-		got, err := decodePeerEval(resp, len(req.Points))
+	for lo := 0; lo < len(req.Points); lo += MaxBatchPoints {
+		hi := min(lo+MaxBatchPoints, len(req.Points))
+		head, err := json.Marshal(requestHeader{Model: req.Model, Evaluator: req.Evaluator, Points: hi - lo, Dims: dims})
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("cluster: encoding peer-eval request: %w", err)
 		}
-		outs = got
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		err = c.exchange(ctx, p, append(head, '\n'), req.Points[lo:hi], func(resp io.Reader) error {
+			// Allocated once a response arrives, not held while the
+			// owner evaluates.
+			if outs == nil {
+				outs = make([]PeerOutcome, len(req.Points))
+			}
+			return decodePeerEval(resp, outs[lo:hi])
+		})
+		if err != nil {
+			return nil, err
+		}
 	}
 	for _, o := range outs {
 		if o.CacheHit {
@@ -119,42 +380,15 @@ func (c *Cluster) EvalOnPeer(ctx context.Context, peerName string, req PeerEvalR
 	return outs, nil
 }
 
-// StreamFromPeer POSTs body to path on a peer and hands each NDJSON
-// response line to onLine as it arrives (the cluster-partitioned sweep
-// consumes sub-sweep progress frames this way). The protocol lives with
-// the caller; this method owns transport, breaker, retry and metrics.
-// Lines already consumed before a mid-stream failure are not replayed:
-// the whole exchange is retried from the start, and onLine sees the
-// attempt boundary as a call with nil line.
-func (c *Cluster) StreamFromPeer(ctx context.Context, peerName, path string, body []byte, onLine func(line []byte) error) error {
-	p := c.peer(peerName)
-	if p == nil {
-		return fmt.Errorf("cluster: unknown peer %q", peerName)
-	}
-	return c.exchange(ctx, p, "cluster.peer_sweep", path, body, func(resp io.Reader) error {
-		if err := onLine(nil); err != nil {
-			return err
-		}
-		sc := bufio.NewScanner(resp)
-		sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-		for sc.Scan() {
-			if err := onLine(sc.Bytes()); err != nil {
-				return err
-			}
-		}
-		return sc.Err()
-	})
-}
-
-// exchange performs one breaker-guarded, retried POST to a peer and
-// feeds the response body to consume. A consume error counts as an
-// exchange failure (the response was unusable).
-func (c *Cluster) exchange(ctx context.Context, p *peerState, span, path string, body []byte, consume func(io.Reader) error) error {
-	ctx, sp := c.tracer.Start(ctx, span, obs.S("peer", p.name))
+// exchange performs one breaker-guarded, retried peer-eval POST of
+// points under head and feeds the response body to consume. A consume
+// error counts as an exchange failure (the response was unusable).
+func (c *Cluster) exchange(ctx context.Context, p *peerState, head []byte, points [][]float64, consume func(io.Reader) error) error {
+	ctx, sp := c.tracer.Start(ctx, "cluster.peer_eval", obs.S("peer", p.name))
 	start := time.Now()
 	var rng *robust.RNG
 	_, err := c.retry.Do(ctx, rng, func(ctx context.Context) error {
-		return c.once(ctx, p, path, body, consume)
+		return c.once(ctx, p, head, points, consume)
 	})
 	c.seconds.Observe(time.Since(start).Seconds())
 	if sp != nil {
@@ -167,7 +401,7 @@ func (c *Cluster) exchange(ctx context.Context, p *peerState, span, path string,
 }
 
 // once is a single breaker-accounted attempt.
-func (c *Cluster) once(ctx context.Context, p *peerState, path string, body []byte, consume func(io.Reader) error) error {
+func (c *Cluster) once(ctx context.Context, p *peerState, head []byte, points [][]float64, consume func(io.Reader) error) error {
 	if !p.allow(time.Now()) {
 		// Breaker rejections are not failures: they don't extend the
 		// streak, and they short-circuit the retry loop's later attempts
@@ -175,11 +409,16 @@ func (c *Cluster) once(ctx context.Context, p *peerState, path string, body []by
 		return errPeerOpen
 	}
 	c.reqs.Add(1)
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.baseURL()+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.baseURL()+peerEvalPath, newRequestBody(head, points))
 	if err != nil {
 		return fmt.Errorf("cluster: peer %s: %w", p.name, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.ContentLength = int64(len(head))
+	if len(points) > 0 {
+		req.ContentLength += int64(8 * len(points) * len(points[0]))
+	}
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(newRequestBody(head, points)), nil }
+	req.Header.Set("Content-Type", "application/octet-stream")
 	resp, err := c.client.Do(req)
 	if err != nil {
 		c.errs.Add(1)
@@ -202,64 +441,6 @@ func (c *Cluster) once(ctx context.Context, p *peerState, path string, body []by
 	}
 	p.recordSuccess()
 	return nil
-}
-
-// decodePeerEval parses a peer-eval NDJSON response into n outcomes,
-// requiring every index exactly once plus the final summary line — a
-// short response (peer died mid-stream) is an exchange failure, so the
-// caller recomputes locally instead of treating absence as data.
-func decodePeerEval(r io.Reader, n int) ([]PeerOutcome, error) {
-	outs := make([]PeerOutcome, n)
-	filled := make([]bool, n)
-	got := 0
-	sawSummary := false
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		if sawSummary {
-			return nil, fmt.Errorf("cluster: data after peer-eval summary line")
-		}
-		if bytes.Contains(line, []byte(`"done"`)) {
-			var sum PeerEvalSummary
-			if err := json.Unmarshal(line, &sum); err != nil {
-				return nil, fmt.Errorf("cluster: peer-eval summary: %w", err)
-			}
-			sawSummary = sum.Done
-			continue
-		}
-		var res PeerEvalResult
-		if err := json.Unmarshal(line, &res); err != nil {
-			return nil, fmt.Errorf("cluster: peer-eval line: %w", err)
-		}
-		if res.Index < 0 || res.Index >= n {
-			return nil, fmt.Errorf("cluster: peer-eval index %d outside batch of %d", res.Index, n)
-		}
-		if filled[res.Index] {
-			return nil, fmt.Errorf("cluster: duplicate peer-eval index %d", res.Index)
-		}
-		filled[res.Index] = true
-		got++
-		if res.Error != "" {
-			outs[res.Index] = PeerOutcome{Value: math.NaN(), Err: fmt.Errorf("cluster: peer evaluation: %s", res.Error)}
-			continue
-		}
-		v, err := ParseBits(res.Bits)
-		if err != nil {
-			return nil, err
-		}
-		outs[res.Index] = PeerOutcome{Value: v, CacheHit: res.CacheHit}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !sawSummary || got != n {
-		return nil, fmt.Errorf("cluster: short peer-eval response (%d of %d points, summary=%v)", got, n, sawSummary)
-	}
-	return outs, nil
 }
 
 // CountLocal/CountRemote/CountFallback feed the remote-vs-local routing

@@ -112,13 +112,6 @@ type Options struct {
 	// Cooldown is how long an open breaker rejects a peer before letting
 	// one half-open probe request through (0: 5s).
 	Cooldown time.Duration
-	// ProbeInterval is the health-probe cadence (0: 2s).
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (0: 1s).
-	ProbeTimeout time.Duration
-	// EjectAfter is the consecutive failed probes before a peer is
-	// ejected from the ring (0: 2). A single successful probe readmits.
-	EjectAfter int
 }
 
 // peerState is the live resilience state of one remote peer: the
@@ -184,15 +177,6 @@ func New(cfg Config, opts Options) (*Cluster, error) {
 	}
 	if opts.Cooldown <= 0 {
 		opts.Cooldown = 5 * time.Second
-	}
-	if opts.ProbeInterval <= 0 {
-		opts.ProbeInterval = 2 * time.Second
-	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = time.Second
-	}
-	if opts.EjectAfter <= 0 {
-		opts.EjectAfter = 2
 	}
 	r := opts.Metrics
 	c := &Cluster{

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"math"
 	"net"
 	"net/http"
@@ -295,7 +297,7 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 		{Name: "down", URL: down.URL},
 	}}
 	reg := obs.NewRegistry()
-	c, err := New(cfg, Options{Metrics: reg, EjectAfter: 2, ProbeTimeout: 200 * time.Millisecond})
+	c, err := New(cfg, Options{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,44 +348,101 @@ func TestProbeEjectsAndReadmits(t *testing.T) {
 	}
 }
 
-func TestPeerWireBits(t *testing.T) {
-	for _, v := range []float64{0, math.Copysign(0, -1), 1.5, math.Inf(1), math.Inf(-1), math.NaN(), math.Pi} {
-		got, err := ParseBits(FormatBits(v))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Float64bits(got) != math.Float64bits(v) {
-			t.Fatalf("bits round trip lost %v", v)
-		}
+// encodeResponse is the body the peer's encoder writes for outs, set in
+// reverse order.
+func encodeResponse(tb testing.TB, outs []PeerOutcome) []byte {
+	r := NewPeerEvalResponse(len(outs))
+	for i := len(outs) - 1; i >= 0; i-- {
+		r.Set(i, outs[i])
 	}
-	// Only FormatBits's own spelling decodes: no short, long or
-	// upper-case variant of a bit pattern.
-	for _, s := range []string{"nope", "1", "3ff", "00000000000000001", "3FF0000000000000"} {
-		if v, err := ParseBits(s); err == nil {
-			t.Errorf("garbage bits %q decoded to %v, want error", s, v)
+	var b bytes.Buffer
+	if _, err := r.WriteTo(&b); err != nil {
+		tb.Fatal(err)
+	}
+	return b.Bytes()
+}
+
+// forgedResponse is a peer-eval response body: the header line, then
+// payload bytes.
+func forgedResponse(head string, payload int) string {
+	return head + "\n" + strings.Repeat("\x01", payload)
+}
+
+// TestDecodePeerEvalRejectsShortResponses decodes what the peer's
+// encoder writes for two outcomes (a hit, and a failure after three
+// attempts), then forgeries of it: a point count off by one either way,
+// values one byte short, bytes after the payload, a failure index out
+// of range or repeated, an unknown header field, and the older
+// per-point NDJSON shape. Each forgery is an error, never outcomes.
+func TestDecodePeerEvalRejectsShortResponses(t *testing.T) {
+	body := encodeResponse(t, []PeerOutcome{
+		{Value: 1.5, CacheHit: true},
+		{Value: math.NaN(), Attempts: 3, Err: errors.New("boom")},
+	})
+	outs := make([]PeerOutcome, 2)
+	if err := decodePeerEval(bytes.NewReader(body), outs); err != nil {
+		t.Fatal(err)
+	}
+	if outs[0].Value != 1.5 || !outs[0].CacheHit || outs[0].Attempts != 0 || outs[0].Err != nil {
+		t.Fatalf("outcome 0 decoded as %+v", outs[0])
+	}
+	if !math.IsNaN(outs[1].Value) || outs[1].CacheHit || outs[1].Attempts != 3 || outs[1].Err == nil || outs[1].Err.Error() != "boom" {
+		t.Fatalf("outcome 1 decoded as %+v", outs[1])
+	}
+	cases := map[string]string{
+		"count one over":   forgedResponse(`{"points":3}`, 27),
+		"count one under":  forgedResponse(`{"points":1}`, 9),
+		"values short":     forgedResponse(`{"points":2}`, 17),
+		"trailing bytes":   forgedResponse(`{"points":2}`, 19),
+		"failure range":    forgedResponse(`{"points":2,"failed":[{"index":2,"error":"x"}]}`, 18),
+		"failure negative": forgedResponse(`{"points":2,"failed":[{"index":-1,"error":"x"}]}`, 18),
+		"failure repeated": forgedResponse(`{"points":2,"failed":[{"index":0,"error":"x"},{"index":0,"error":"x"}]}`, 18),
+		"unknown field":    forgedResponse(`{"points":2,"errors":0}`, 18),
+		"no header":        strings.Repeat("\x01", 18),
+		"ndjson": `{"index":0,"bits":"3ff0000000000000"}` + "\n" +
+			`{"index":1,"bits":"4000000000000000","cache_hit":true}` + "\n" +
+			`{"done":true,"points":2,"errors":0}` + "\n",
+	}
+	for name, body := range cases {
+		if err := decodePeerEval(strings.NewReader(body), make([]PeerOutcome, 2)); err == nil {
+			t.Errorf("%s: want error", name)
 		}
 	}
 }
 
-func TestDecodePeerEvalRejectsShortResponses(t *testing.T) {
-	full := `{"index":0,"bits":"3ff0000000000000"}` + "\n" +
-		`{"index":1,"bits":"4000000000000000","cache_hit":true}` + "\n" +
-		`{"done":true,"points":2,"errors":0}` + "\n"
-	outs, err := decodePeerEval(strings.NewReader(full), 2)
+// TestPeerEvalRequestRoundTrip streams a request body from points and
+// decodes it as the owner does, bit for bit, and holds the owner's
+// decoder to the header's claims: no points, too many points or
+// coordinates, a payload one byte short, or bytes after it are errors.
+func TestPeerEvalRequestRoundTrip(t *testing.T) {
+	points := make([][]float64, 2*blockPoints+3)
+	for i := range points {
+		points[i] = []float64{float64(i), math.Copysign(0, -1), math.Inf(1), math.Float64frombits(0x7ff8000000000001 + uint64(i))}
+	}
+	head := []byte(`{"model":{"app":"tmm"},"points":2051,"dims":4}` + "\n")
+	got, err := ReadPeerEvalRequest(newRequestBody(head, points))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Value != 1 || outs[1].Value != 2 || !outs[1].CacheHit {
-		t.Fatalf("decoded %+v", outs)
+	if string(got.Model) != `{"app":"tmm"}` || got.Evaluator != nil || len(got.Points) != len(points) {
+		t.Fatalf("decoded model %s, evaluator %s, %d points", got.Model, got.Evaluator, len(got.Points))
 	}
-	cases := map[string]string{
-		"no-summary": `{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"index":1,"bits":"4000000000000000"}` + "\n",
-		"missing":    `{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"done":true}` + "\n",
-		"dup":        `{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"done":true}` + "\n",
-		"range":      `{"index":9,"bits":"3ff0000000000000"}` + "\n" + `{"done":true}` + "\n",
+	for i, p := range points {
+		for j, v := range p {
+			if math.Float64bits(got.Points[i][j]) != math.Float64bits(v) {
+				t.Fatalf("point %d coordinate %d = %x, want %x", i, j, math.Float64bits(got.Points[i][j]), math.Float64bits(v))
+			}
+		}
 	}
-	for name, body := range cases {
-		if _, err := decodePeerEval(strings.NewReader(body), 2); err == nil {
+	for name, body := range map[string]string{
+		"no points":     forgedResponse(`{"model":{},"points":0,"dims":1}`, 0),
+		"too many":      forgedResponse(`{"model":{},"points":131073,"dims":1}`, 8*131073),
+		"too many dims": forgedResponse(`{"model":{},"points":1,"dims":65}`, 8*65),
+		"short":         forgedResponse(`{"model":{},"points":2,"dims":3}`, 47),
+		"trailing":      forgedResponse(`{"model":{},"points":2,"dims":3}`, 49),
+		"unknown field": forgedResponse(`{"model":{},"points":2,"dims":3,"x":1}`, 48),
+	} {
+		if _, err := ReadPeerEvalRequest(strings.NewReader(body)); err == nil {
 			t.Errorf("%s: want error", name)
 		}
 	}

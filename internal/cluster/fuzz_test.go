@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -11,58 +12,55 @@ import (
 	"testing"
 )
 
-// FuzzDecodePeerEval holds the peer-eval decoder to its contract on
-// arbitrary response bodies: it either fails, or returns exactly n
-// outcomes whose values, re-encoded with FormatBits and decoded again,
-// keep their bits (and their cache and error flags).
+// FuzzDecodePeerEval holds the peer-eval response decoder to its
+// contract on arbitrary bodies: it either fails, or fills exactly n
+// outcomes that re-encode through the peer's encoder
+// (PeerEvalResponse) to a body decoding to the same value bits,
+// hit flags, attempts and errors. The seeds are the encoder's own
+// bodies for both NaN payloads, −0, ±Inf, both ends of the subnormals
+// and MaxFloat64, with a hit, two failures and a retried point among
+// them; a failure with empty error text after 255 attempts; and two
+// forgeries, a body one byte short and the older per-point NDJSON shape.
 func FuzzDecodePeerEval(f *testing.F) {
-	for _, body := range []string{
-		`{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"index":1,"bits":"4000000000000000","cache_hit":true}` + "\n" + `{"done":true,"points":2,"errors":0}` + "\n",
-		`{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"index":1,"bits":"4000000000000000"}` + "\n",
-		`{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"done":true}` + "\n",
-		`{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"index":0,"bits":"3ff0000000000000"}` + "\n" + `{"done":true}` + "\n",
-		`{"index":9,"bits":"3ff0000000000000"}` + "\n" + `{"done":true}` + "\n",
-		`{"index":0,"error":"boom"}` + "\n" + `{"index":1,"bits":"7ff8000000000001"}` + "\n" + `{"done":true}` + "\n",
+	var outs []PeerOutcome
+	for _, v := range []uint64{
+		0x7ff8000000000001, 0xfff8000000000000, 1 << 63, 0x7ff0000000000000,
+		0xfff0000000000000, 1, 0x000fffffffffffff, 0x7fefffffffffffff,
 	} {
-		f.Add([]byte(body), 2)
+		outs = append(outs, PeerOutcome{Value: math.Float64frombits(v), Attempts: 1})
 	}
+	outs[1].CacheHit, outs[1].Attempts = true, 0
+	outs[2].Attempts = 3
+	outs[3] = PeerOutcome{Value: math.NaN(), Attempts: 2, Err: errors.New("boom")}
+	outs[5].Err = errors.New("second failure")
+	for _, o := range [][]PeerOutcome{outs, outs[:2], nil} {
+		f.Add(encodeResponse(f, o), len(o))
+	}
+	f.Add([]byte(`{"points":1,"failed":[{"index":0,"error":""}]}`+"\n\x00\x00\x00\x00\x00\x00\xf8\x7f\xff"), 1)
+	f.Add([]byte(forgedResponse(`{"points":2}`, 17)), 2)
+	f.Add([]byte(`{"index":0,"bits":"3ff0000000000000"}`+"\n"+`{"done":true,"points":1,"errors":0}`+"\n"), 1)
 
 	f.Fuzz(func(t *testing.T, body []byte, n int) {
 		if n < 0 || n > 64 {
 			return
 		}
-		outs, err := decodePeerEval(bytes.NewReader(body), n)
-		if err != nil {
+		outs := make([]PeerOutcome, n)
+		if err := decodePeerEval(bytes.NewReader(body), outs); err != nil {
 			return
 		}
-		if len(outs) != n {
-			t.Fatalf("decoded %d outcomes, want %d", len(outs), n)
-		}
-		var wire bytes.Buffer
-		enc := json.NewEncoder(&wire)
-		for i, o := range outs {
-			res := PeerEvalResult{Index: i, Bits: FormatBits(o.Value), CacheHit: o.CacheHit}
-			if o.Err != nil {
-				res = PeerEvalResult{Index: i, Error: "failed"}
-			}
-			if err := enc.Encode(res); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := enc.Encode(PeerEvalSummary{Done: true, Points: n}); err != nil {
-			t.Fatal(err)
-		}
-		again, err := decodePeerEval(&wire, n)
-		if err != nil {
-			t.Fatalf("re-encoded response does not decode: %v\n%s", err, wire.Bytes())
+		wire := encodeResponse(t, outs)
+		again := make([]PeerOutcome, n)
+		if err := decodePeerEval(bytes.NewReader(wire), again); err != nil {
+			t.Fatalf("re-encoded response does not decode: %v\n%q", err, wire)
 		}
 		for i, o := range outs {
 			a := again[i]
-			if (o.Err != nil) != (a.Err != nil) || o.CacheHit != a.CacheHit {
-				t.Fatalf("outcome %d changed on re-encoding: %+v → %+v", i, o, a)
-			}
 			if math.Float64bits(o.Value) != math.Float64bits(a.Value) {
 				t.Fatalf("outcome %d bits changed on re-encoding: %x → %x", i, math.Float64bits(o.Value), math.Float64bits(a.Value))
+			}
+			if o.CacheHit != a.CacheHit || o.Attempts != a.Attempts || (o.Err != nil) != (a.Err != nil) ||
+				o.Err != nil && o.Err.Error() != a.Err.Error() {
+				t.Fatalf("outcome %d changed on re-encoding: %+v → %+v", i, o, a)
 			}
 		}
 	})

@@ -16,6 +16,16 @@ import (
 // breaker-probe tax for a peer that is down for minutes, and a single
 // successful probe readmits it.
 
+const (
+	// probeInterval is the health-probe cadence.
+	probeInterval = 2 * time.Second
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
+	// ejectAfter is the consecutive failed probes before a peer is
+	// ejected from the ring. A single successful probe readmits.
+	ejectAfter = 2
+)
+
 // StartProber launches the background health loop under ctx (the
 // process's run context; cancelling it ends the loop too) and returns a
 // stop function that blocks until the loop has exited. Idempotent stop.
@@ -29,12 +39,11 @@ func (c *Cluster) StartProber(ctx context.Context) (stop func()) {
 	stopCh := make(chan struct{})
 	doneCh := make(chan struct{})
 	c.proberStop, c.proberDone = stopCh, doneCh
-	interval := c.opts.ProbeInterval
 	c.mu.Unlock()
 
 	go func() {
 		defer close(doneCh)
-		t := time.NewTicker(interval)
+		t := time.NewTicker(probeInterval)
 		defer t.Stop()
 		for {
 			select {
@@ -86,7 +95,7 @@ func (c *Cluster) ProbeOnce(ctx context.Context) int {
 			}
 		} else {
 			p.probeFails++
-			if !p.ejected && p.probeFails >= c.opts.EjectAfter {
+			if !p.ejected && p.probeFails >= ejectAfter {
 				p.ejected = true
 				changes++
 			}
@@ -104,7 +113,7 @@ func (c *Cluster) ProbeOnce(ctx context.Context) int {
 // probe performs one GET /healthz against a peer under the probe
 // timeout.
 func (c *Cluster) probe(ctx context.Context, p *peerState) bool {
-	ctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.baseURL()+"/healthz", nil)
 	if err != nil {

@@ -61,13 +61,21 @@ func WithContext(e Evaluator) CtxEvaluator {
 	})
 }
 
+// Streamer runs a sweep's evaluations: *engine.Engine, or a router
+// that sends some of the points to other processes. EvaluateStream
+// must call yield at most once per point and never concurrently, as
+// engine.Engine.EvaluateStream does.
+type Streamer interface {
+	EvaluateStream(ctx context.Context, ev CtxEvaluator, points [][]float64, yield func(i int, o engine.Outcome)) error
+}
+
 // SweepOptions tunes the resilient sweep.
 type SweepOptions struct {
-	// Engine runs every evaluation: its worker bound and retry policy
-	// apply, and results already memoized by earlier work on the same
-	// engine are served from its cache. Nil runs the sweep on an uncached
-	// engine with the engine.Options defaults.
-	Engine *engine.Engine
+	// Engine runs every evaluation: an engine's worker bound and retry
+	// policy apply, and results already memoized by earlier work on the
+	// same engine are served from its cache. Nil runs the sweep on an
+	// uncached engine with the engine.Options defaults.
+	Engine Streamer
 	// CheckpointPath enables periodic JSON checkpointing of completed
 	// values to this file (written atomically via rename). Empty disables.
 	CheckpointPath string
@@ -99,13 +107,13 @@ type SweepReport struct {
 	// Completed lists the successfully evaluated indices, sorted. It
 	// includes indices restored from a resumed checkpoint, and lists an
 	// index the sweep was asked for more than once as often as asked.
-	Completed IndexList `json:"completed"`
+	Completed []int `json:"completed"`
 	// Failed lists the indices whose evaluations exhausted the retry
 	// budget, with their final error.
 	Failed []IndexFailure `json:"failed,omitempty"`
 	// Pending lists the indices never evaluated because the sweep was
 	// cancelled or timed out.
-	Pending IndexList `json:"pending,omitempty"`
+	Pending []int `json:"pending,omitempty"`
 	// Retries is the total number of re-attempts across all indices.
 	Retries int `json:"retries"`
 	// Resumed is how many completed indices were restored from the

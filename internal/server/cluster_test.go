@@ -2,14 +2,18 @@ package server
 
 import (
 	"bufio"
+	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"sort"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -17,6 +21,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/dse"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/robust"
 )
@@ -335,83 +340,56 @@ func TestClusterSweepSurvivesPeerDeath(t *testing.T) {
 }
 
 // TestClusterSweepRejectsBadPeerFrames points the coordinator at a
-// fake peer whose peer-sweep result frames are forged: a completed index
-// far outside the space, a completed index claimed more often than it
-// was forwarded, a completed list out of order (each with 8 bytes of
-// bits per forwarded index, so only the index list is wrong), frames
-// claiming every forwarded point with no bits, with bits for the whole
-// space, one value short or with a 7-byte partial value, and a frame in
-// the older decimal shape, group-aligned values and no bits, as a peer
-// on an older version sends it. Each must fail the exchange like a short
-// peer-eval response: the group falls back to local compute and the
-// sweep returns the single node's bits, never a panic or NaN.
+// fake peer that reads each peer-eval request and answers it with a
+// forged response: a point count off by one, values one byte short,
+// bytes after the payload, a failure index out of range, a repeated
+// failure index, and the older per-point NDJSON shape, as a peer on an
+// older version sends it. Each must fail the exchange: the group falls
+// back to local compute and the sweep returns the single node's bits,
+// never a panic or NaN.
 func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 2}, IncludeValues: true}
 	_, single := newTestServer(t, Options{})
 	want := sweepOver(t, single.URL, req)
 	size := len(want.Values)
 
-	const (
-		badIndex = "outside the forwarded group or more often than forwarded"
-		badBytes = "value bytes for a group of"
-		unsorted = "not sorted"
-	)
-	// forged claims completed for a group with n bytes of bits.
-	forged := func(group, completed []int, n int) SweepResult {
-		return SweepResult{
-			Type:   "result",
-			Report: dse.SweepReport{Total: len(group), Completed: completed},
-			Bits:   make([]byte, n),
-		}
-	}
+	// payload is n points' values and attempts bytes, plus skew bytes.
+	payload := func(n, skew int) string { return strings.Repeat("\x01", 9*n+skew) }
 	forgeries := []struct {
-		name   string
-		reason string // in checkSubSweep's error for the forged frame
-		forge  func(group []int) SweepResult
+		name  string
+		forge func(n int) string
 	}{
-		{"index outside the space", badIndex, func(group []int) SweepResult {
-			return forged(group, []int{1 << 20}, 8*len(group))
+		{"point count one over", func(n int) string {
+			return fmt.Sprintf(`{"points":%d}`, n+1) + "\n" + payload(n+1, 0)
 		}},
-		{"index claimed more often than forwarded", badIndex, func(group []int) SweepResult {
-			return forged(group, []int{group[0], group[0]}, 8*len(group))
+		{"values one byte short", func(n int) string {
+			return fmt.Sprintf(`{"points":%d}`, n) + "\n" + payload(n, -1)
 		}},
-		{"unsorted completed", unsorted, func(group []int) SweepResult {
-			backwards := make([]int, len(group))
-			for k, idx := range group {
-				backwards[len(group)-1-k] = idx
+		{"bytes after the payload", func(n int) string {
+			return fmt.Sprintf(`{"points":%d}`, n) + "\n" + payload(n, 1)
+		}},
+		{"failure index out of range", func(n int) string {
+			return fmt.Sprintf(`{"points":%d,"failed":[{"index":%d,"error":"x"}]}`, n, n) + "\n" + payload(n, 0)
+		}},
+		{"repeated failure index", func(n int) string {
+			return fmt.Sprintf(`{"points":%d,"failed":[{"index":0,"error":"x"},{"index":0,"error":"x"}]}`, n) + "\n" + payload(n, 0)
+		}},
+		{"per-point NDJSON", func(n int) string {
+			var b strings.Builder
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&b, `{"index":%d,"bits":"3ff0000000000000"}`+"\n", i)
 			}
-			return forged(group, backwards, 8*len(group))
-		}},
-		{"no values", badBytes, func(group []int) SweepResult {
-			return forged(group, group, 0)
-		}},
-		{"whole-space values", badBytes, func(group []int) SweepResult {
-			return forged(group, group, 8*size)
-		}},
-		{"one value short", badBytes, func(group []int) SweepResult {
-			return forged(group, group, 8*(len(group)-1))
-		}},
-		{"7-byte partial value", badBytes, func(group []int) SweepResult {
-			return forged(group, group, 8*len(group)-1)
-		}},
-		{"legacy decimal values", badBytes, func(group []int) SweepResult {
-			res := SweepResult{Type: "result", Report: dse.SweepReport{Total: len(group), Completed: group}}
-			res.Values = make(valueList, len(group))
-			return res
+			return b.String() + fmt.Sprintf(`{"done":true,"points":%d,"errors":0}`, n) + "\n"
 		}},
 	}
 	var current atomic.Int32
-	var lastGroup atomic.Pointer[[]int]
 	fake := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var sub SweepRequest
-		if err := json.NewDecoder(r.Body).Decode(&sub); err != nil || len(sub.Indices) == 0 {
-			http.Error(w, "bad peer-sweep request", http.StatusBadRequest)
+		in, err := cluster.ReadPeerEvalRequest(r.Body)
+		if err != nil {
+			http.Error(w, "bad peer-eval request", http.StatusBadRequest)
 			return
 		}
-		group := []int(sub.Indices)
-		lastGroup.Store(&group)
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = json.NewEncoder(w).Encode(forgeries[current.Load()].forge(group))
+		_, _ = io.WriteString(w, forgeries[current.Load()].forge(len(in.Points)))
 	}))
 	t.Cleanup(fake.Close)
 
@@ -438,18 +416,17 @@ func TestClusterSweepRejectsBadPeerFrames(t *testing.T) {
 	for i, f := range forgeries {
 		current.Store(int32(i))
 		fb0 := reg.Counter("cluster_fallback_points_total").Value()
+		errs0 := reg.Counter("cluster_peer_errors_total").Value()
 		got := sweepOver(t, "http://"+ln.Addr().String(), req)
 		wantBitIdentical(t, f.name, want.Values, got.Values)
-		if len(got.Report.Completed) != size || len(got.Report.Pending) != 0 {
-			t.Fatalf("%s: %d/%d completed, %d pending", f.name, len(got.Report.Completed), size, len(got.Report.Pending))
+		if len(got.Report.Completed) != size || len(got.Report.Pending) != 0 || len(got.Report.Failed) != 0 {
+			t.Fatalf("%s: %d/%d completed, %d pending, %d failed", f.name, len(got.Report.Completed), size, len(got.Report.Pending), len(got.Report.Failed))
 		}
 		if reg.Counter("cluster_fallback_points_total").Value() == fb0 {
-			t.Fatalf("%s: the forged frame was merged; no point fell back to local compute", f.name)
+			t.Fatalf("%s: the forged response was read as data; no point fell back to local compute", f.name)
 		}
-		group := *lastGroup.Load()
-		frame := f.forge(group)
-		if err := checkSubSweep(&frame, size, group); err == nil || !strings.Contains(err.Error(), f.reason) {
-			t.Fatalf("%s: checkSubSweep = %v, want an error naming %q", f.name, err, f.reason)
+		if reg.Counter("cluster_peer_errors_total").Value() == errs0 {
+			t.Fatalf("%s: the forged response did not fail its exchange", f.name)
 		}
 	}
 	if reg.Counter("cluster_remote_points_total").Value() == 0 {
@@ -508,96 +485,6 @@ func TestClusterSweepRepeatedIndices(t *testing.T) {
 	}
 }
 
-// TestMergePartitionsReadsOnlyCompletedBits merges a local partition
-// with a peer frame that forwards a repeated index, fails one index and
-// leaves one pending, with -1e300 in the bits at both of those: the
-// merge reads the bits only at completed indices (so the sweep's best
-// cannot land on an index nobody completed), merges the sorted lists
-// with the repeat kept, and reports the unsettled index pending.
-func TestMergePartitionsReadsOnlyCompletedBits(t *testing.T) {
-	const size = 8
-	nan := math.NaN()
-	local := subSweepOutcome{
-		values: []float64{4, nan, 6, nan, nan, nan, nan, nan},
-		report: dse.SweepReport{Completed: []int{0, 2}},
-	}
-	group := []int{5, 1, 5, 3, 7}
-	values := []float64{nan, -1e300, nan, 2.5, nan, 1.5, nan, -1e300}
-	remote := subSweepOutcome{
-		bits:   groupBits(values, group),
-		group:  group,
-		report: dse.SweepReport{Completed: []int{3, 5, 5}, Failed: []dse.IndexFailure{{Index: 1, Attempts: 2, Err: "boom"}}},
-	}
-	indices := []int{0, 2, 5, 1, 5, 3, 7}
-	merged, rep, err := mergePartitions([]subSweepOutcome{local, remote}, indices, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{4, nan, 6, 2.5, nan, 1.5, nan, nan}
-	for i := range want {
-		if math.Float64bits(merged[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("merged[%d] = %v, want %v (merged %v)", i, merged[i], want[i], merged)
-		}
-	}
-	if got := fmt.Sprint(rep.Total, rep.Completed, rep.Failed, rep.Pending); got != "7 [0 2 3 5 5] [{1 2 boom}] [7]" {
-		t.Fatalf("report total, completed, failed, pending = %s", got)
-	}
-}
-
-// TestPeerSweepReturnsGroupValues POSTs a peer sub-sweep directly with a
-// shuffled subset of a 729-point space: its result frame carries 8
-// bytes of bits per forwarded index, in request order, each value
-// bit-identical to the single node's at that index, no decimal values,
-// and reports exactly that subset completed.
-func TestPeerSweepReturnsGroupValues(t *testing.T) {
-	space := SpaceSpec{Per: 3}
-	_, single := newTestServer(t, Options{})
-	want := sweepOver(t, single.URL, SweepRequest{Model: ModelSpec{App: "tmm"}, Space: space, IncludeValues: true})
-	size := len(want.Values)
-	indices := make([]int, 0, size/3)
-	for k := 0; k < size/3; k++ {
-		indices = append(indices, (k*37+11)%size) // 37 is prime to 3^6: distinct, unsorted
-	}
-
-	peers := startClusterPeers(t, 2, cluster.Options{}, Options{})
-	resp := postJSON(t, &http.Client{}, peers[1].url+"/internal/v1/peer-sweep", SweepRequest{
-		Model: ModelSpec{App: "tmm"}, Space: space, Indices: indices, IncludeValues: true,
-	})
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("peer-sweep status %d: %s", resp.StatusCode, body)
-	}
-	var res SweepResult
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 1<<20), 64<<20)
-	for sc.Scan() {
-		if err := json.Unmarshal(sc.Bytes(), &res); err != nil {
-			t.Fatalf("bad frame %q: %v", sc.Bytes(), err)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatalf("reading peer-sweep stream: %v", err)
-	}
-	if res.Type != "result" || res.Error != nil {
-		t.Fatalf("last frame type %q, error %+v; want a clean result", res.Type, res.Error)
-	}
-	if len(res.Bits) != 8*len(indices) || res.Values != nil {
-		t.Fatalf("result carries %d bytes of bits and %d decimal values for %d forwarded indices",
-			len(res.Bits), len(res.Values), len(indices))
-	}
-	for k, idx := range indices {
-		if got, w := math.Float64bits(bitsAt(res.Bits, k)), math.Float64bits(float64(want.Values[idx])); got != w {
-			t.Fatalf("bits[%d] (index %d) = %x, want the single node's %x", k, idx, got, w)
-		}
-	}
-	sorted := append([]int(nil), indices...)
-	sort.Ints(sorted)
-	if fmt.Sprint(res.Report.Completed) != fmt.Sprint(sorted) {
-		t.Fatalf("completed %v, want the forwarded indices %v", res.Report.Completed, sorted)
-	}
-}
-
 // TestReadyzClusterFieldNames pins the peer-ring summary's wire shape:
 // readyz carries a "cluster" object with stable field names (operators
 // and the bench harness parse them), and standalone servers omit it.
@@ -641,5 +528,329 @@ func TestReadyzClusterFieldNames(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("standalone peer-eval status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestClusterSweepChunksLargeGroups sweeps tmm per=9 (531,441 points)
+// through a two-peer cluster. The remote peer owns more points than one
+// exchange may carry, so its group travels in exchanges of at most
+// cluster.MaxBatchPoints points, one after another: no point falls
+// back, and the values are the single node's bits.
+func TestClusterSweepChunksLargeGroups(t *testing.T) {
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 9}, IncludeValues: true}
+	_, single := newTestServer(t, Options{})
+	want := sweepOver(t, single.URL, req)
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{})
+	got := sweepOver(t, peers[0].url, req)
+	wantBitIdentical(t, "tmm per=9", want.Values, got.Values)
+	if len(got.Report.Completed) != got.Report.Total || len(got.Report.Failed) != 0 || len(got.Report.Pending) != 0 {
+		t.Fatalf("%d/%d completed, %d failed, %d pending",
+			len(got.Report.Completed), got.Report.Total, len(got.Report.Failed), len(got.Report.Pending))
+	}
+	remote := peers[0].reg.Counter("cluster_remote_points_total").Value()
+	if remote <= cluster.MaxBatchPoints {
+		t.Fatalf("%d remote points, want more than the %d one exchange carries", remote, cluster.MaxBatchPoints)
+	}
+	if fb := peers[0].reg.Counter("cluster_fallback_points_total").Value(); fb != 0 {
+		t.Fatalf("%d points fell back to local compute", fb)
+	}
+	if n, min := peers[0].reg.Counter("cluster_peer_requests_total").Value(), (remote+cluster.MaxBatchPoints-1)/cluster.MaxBatchPoints; n != min {
+		t.Fatalf("%d exchanges for %d remote points, want %d", n, remote, min)
+	}
+}
+
+// hookedEvaluator runs hook instead of the wrapped evaluator at one
+// point and forwards the wrapped evaluator's fingerprint, so the engine
+// keys and the ring places every point as it does the unwrapped one's.
+type hookedEvaluator struct {
+	dse.CtxEvaluator
+	at   []float64
+	hook func(ctx context.Context, inner dse.CtxEvaluator, p []float64) (float64, error)
+}
+
+func (h hookedEvaluator) EvaluateCtx(ctx context.Context, p []float64) (float64, error) {
+	if slices.Equal(p, h.at) {
+		return h.hook(ctx, h.CtxEvaluator, p)
+	}
+	return h.CtxEvaluator.EvaluateCtx(ctx, p)
+}
+
+func (h hookedEvaluator) Fingerprint() string {
+	return h.CtxEvaluator.(engine.Fingerprinter).Fingerprint()
+}
+
+// withHookAt installs hook at point in every evaluator this process's
+// servers resolve, for the rest of the test.
+func withHookAt(t *testing.T, point []float64, hook func(context.Context, dse.CtxEvaluator, []float64) (float64, error)) {
+	t.Helper()
+	prev := testWrapEvaluator
+	testWrapEvaluator = func(ev dse.CtxEvaluator) dse.CtxEvaluator {
+		return hookedEvaluator{CtxEvaluator: ev, at: point, hook: hook}
+	}
+	t.Cleanup(func() { testWrapEvaluator = prev })
+}
+
+// ownership resolves a sweep request's space on the coordinator p and
+// splits its flat indices by whether p owns their points.
+func ownership(t *testing.T, p *clusterPeer, req SweepRequest) (space dse.Space, local, remote []int) {
+	t.Helper()
+	sr, err := p.srv.sweepInputs(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, ring := engine.KeySeed(sr.ev.(engine.Fingerprinter).Fingerprint()), p.cl.Ring()
+	for i := 0; i < sr.space.Size(); i++ {
+		if _, isLocal := ring.Owner(engine.KeyHash(seed, sr.space.Point(i))); isLocal {
+			local = append(local, i)
+		} else {
+			remote = append(remote, i)
+		}
+	}
+	if len(local) == 0 || len(remote) == 0 {
+		t.Fatalf("%d local and %d remote points; the test needs both", len(local), len(remote))
+	}
+	return sr.space, local, remote
+}
+
+// TestClusterSweepReportsRemoteFailure sweeps through a two-peer
+// cluster with one remote-owned point that always fails on its owner:
+// the coordinator reports the single node's failure (index, attempts
+// and error) and completed list, with no fallback.
+func TestClusterSweepReportsRemoteFailure(t *testing.T) {
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{})
+	_, single := newTestServer(t, Options{})
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 3}, IncludeValues: true}
+	space, _, remote := ownership(t, peers[0], req)
+	withHookAt(t, space.Point(remote[0]), func(context.Context, dse.CtxEvaluator, []float64) (float64, error) {
+		return math.NaN(), errors.New("test: this point always fails")
+	})
+
+	want := sweepOver(t, single.URL, req)
+	if len(want.Report.Failed) != 1 || want.Report.Failed[0].Index != remote[0] || want.Report.Failed[0].Attempts < 2 {
+		t.Fatalf("single node failed %+v, want index %d after retries", want.Report.Failed, remote[0])
+	}
+	got := sweepOver(t, peers[0].url, req)
+	wantBitIdentical(t, "values", want.Values, got.Values)
+	for _, l := range []struct {
+		name      string
+		got, want interface{}
+	}{
+		{"failed", got.Report.Failed, want.Report.Failed},
+		{"completed", got.Report.Completed, want.Report.Completed},
+		{"retries", got.Report.Retries, want.Report.Retries},
+	} {
+		if fmt.Sprint(l.got) != fmt.Sprint(l.want) {
+			t.Fatalf("%s %v, want the single node's %v", l.name, l.got, l.want)
+		}
+	}
+	if fb := peers[0].reg.Counter("cluster_fallback_points_total").Value(); fb != 0 {
+		t.Fatalf("%d points fell back to local compute", fb)
+	}
+}
+
+// TestClusterSweepCheckpointResume cuts a checkpointed sweep through a
+// two-peer cluster short while one remote-owned point blocks on its
+// owner: the checkpoint holds only indices the coordinator completed,
+// all of its own share, and the resumed sweep restores them and ends
+// with the single node's values and completed list.
+func TestClusterSweepCheckpointResume(t *testing.T) {
+	dir := t.TempDir()
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{CheckpointDir: dir})
+	_, single := newTestServer(t, Options{})
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 3}, IncludeValues: true}
+	want := sweepOver(t, single.URL, req)
+	space, local, remote := ownership(t, peers[0], req)
+
+	var gated atomic.Bool
+	gated.Store(true)
+	blocked := make(chan struct{}, 1)
+	withHookAt(t, space.Point(remote[0]), func(ctx context.Context, inner dse.CtxEvaluator, p []float64) (float64, error) {
+		if !gated.Load() {
+			return inner.EvaluateCtx(ctx, p)
+		}
+		select {
+		case blocked <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return math.NaN(), ctx.Err()
+	})
+
+	req.Checkpoint, req.Resume, req.ProgressMS = "cut.ck", true, 5
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, peers[0].url+"/v1/sweep", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Cut once the coordinator has evaluated its whole share and the
+	// remote exchange is held up at the blocked point.
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var p SweepProgress
+		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+			t.Fatalf("frame %q: %v", sc.Bytes(), err)
+		}
+		if p.Type != "progress" {
+			t.Fatalf("sweep ended before the cut: %s", sc.Bytes())
+		}
+		if p.Evaluated >= int64(len(local)) {
+			break
+		}
+	}
+	<-blocked
+	time.Sleep(50 * time.Millisecond) // the last local outcomes reach the report
+	cancel()
+	resp.Body.Close()
+
+	path := filepath.Join(dir, "cut.ck")
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		unlock, err := peers[0].srv.lockCheckpoint(path)
+		if err == nil {
+			unlock()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("the cut sweep still holds its checkpoint: %v", err)
+		}
+	}
+	ck, err := dse.LoadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("cut sweep left no checkpoint: %v", err)
+	}
+	isLocal := make(map[int]bool, len(local))
+	for _, idx := range local {
+		isLocal[idx] = true
+	}
+	if len(ck.Indices) == 0 {
+		t.Fatal("the cut sweep checkpointed no completed index")
+	}
+	for _, idx := range ck.Indices {
+		if !isLocal[idx] {
+			t.Fatalf("checkpoint holds index %d, which the blocked remote exchange never returned", idx)
+		}
+	}
+
+	gated.Store(false)
+	got := sweepOver(t, peers[0].url, req)
+	if got.Report.Resumed != len(ck.Indices) {
+		t.Fatalf("resumed %d indices, want the checkpoint's %d", got.Report.Resumed, len(ck.Indices))
+	}
+	wantBitIdentical(t, "resumed", want.Values, got.Values)
+	if fmt.Sprint(got.Report.Completed) != fmt.Sprint(want.Report.Completed) || len(got.Report.Pending) != 0 {
+		t.Fatalf("resumed sweep completed %d (pending %d), want the single node's %d",
+			len(got.Report.Completed), len(got.Report.Pending), len(want.Report.Completed))
+	}
+}
+
+// batchLines POSTs a batch and returns its result lines by index.
+func batchLines(t *testing.T, url string, req BatchRequest) []BatchResult {
+	t.Helper()
+	resp := postJSON(t, &http.Client{}, url, req)
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
+	}
+	lines := make([]BatchResult, len(req.Points))
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 64<<20)
+	for sc.Scan() {
+		var line struct {
+			BatchResult
+			Done bool `json:"done"`
+		}
+		if err := json.Unmarshal(sc.Bytes(), &line); err != nil {
+			t.Fatalf("batch line %q: %v", sc.Bytes(), err)
+		}
+		if !line.Done {
+			lines[line.Index] = line.BatchResult
+		}
+	}
+	return lines
+}
+
+// TestClusterBatchOwnerDeadlineFallsBack routes a batch through a
+// two-peer cluster whose owner's request deadline (100 ms) expires while
+// one of its points takes 300 ms. The owner answers the cut-short
+// exchange with an error rather than part of a response, so the
+// coordinator computes the group itself: every value is the single
+// node's and no point reports an error.
+func TestClusterBatchOwnerDeadlineFallsBack(t *testing.T) {
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{Timeout: 100 * time.Millisecond})
+	_, single := newTestServer(t, Options{})
+	sweep := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 3}}
+	space, _, remote := ownership(t, peers[0], sweep)
+	req := BatchRequest{Model: sweep.Model}
+	for i := 0; i < space.Size(); i++ {
+		req.Points = append(req.Points, space.Point(i))
+	}
+	withHookAt(t, space.Point(remote[0]), func(ctx context.Context, inner dse.CtxEvaluator, p []float64) (float64, error) {
+		select {
+		case <-time.After(300 * time.Millisecond):
+			return inner.EvaluateCtx(ctx, p)
+		case <-ctx.Done():
+			return math.NaN(), ctx.Err()
+		}
+	})
+
+	want := batchLines(t, single.URL+"/v1/evaluate:batch", req)
+	got := batchLines(t, peers[0].url+"/v1/evaluate:batch?timeout_ms=10000", req)
+	for i := range want {
+		w, g := want[i], got[i]
+		if g.Error != nil || g.Value == nil || w.Value == nil {
+			t.Fatalf("point %d: got error %+v, value %v; single node value %v", i, g.Error, g.Value, w.Value)
+		}
+		if math.Float64bits(float64(*g.Value)) != math.Float64bits(float64(*w.Value)) {
+			t.Fatalf("point %d: value %v, want the single node's %v", i, *g.Value, *w.Value)
+		}
+	}
+	if peers[0].reg.Counter("cluster_fallback_points_total").Value() == 0 {
+		t.Fatal("the owner's cut-short exchange did not fall back")
+	}
+}
+
+// TestClusterSweepProgressCountsRemoteEvaluations sweeps a cold space
+// through a two-peer cluster while one coordinator-owned point takes
+// 500 ms: the remote share's exchange returns first, and the progress
+// frames sent while the last local point runs count its owner's
+// evaluations beside the coordinator's own.
+func TestClusterSweepProgressCountsRemoteEvaluations(t *testing.T) {
+	peers := startClusterPeers(t, 2, cluster.Options{}, Options{})
+	req := SweepRequest{Model: ModelSpec{App: "tmm"}, Space: SpaceSpec{Per: 3}, ProgressMS: 5}
+	space, local, remote := ownership(t, peers[0], req)
+	withHookAt(t, space.Point(local[0]), func(ctx context.Context, inner dse.CtxEvaluator, p []float64) (float64, error) {
+		select {
+		case <-time.After(500 * time.Millisecond):
+			return inner.EvaluateCtx(ctx, p)
+		case <-ctx.Done():
+			return math.NaN(), ctx.Err()
+		}
+	})
+
+	resp := postJSON(t, &http.Client{}, peers[0].url+"/v1/sweep", req)
+	defer resp.Body.Close()
+	var most int64
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 64<<20)
+	for sc.Scan() {
+		var p SweepProgress
+		if err := json.Unmarshal(sc.Bytes(), &p); err != nil {
+			t.Fatalf("frame %q: %v", sc.Bytes(), err)
+		}
+		if p.Type == "progress" {
+			most = max(most, p.Evaluated)
+		}
+	}
+	if want := int64(len(local) + len(remote)); most != want {
+		t.Fatalf("progress counted at most %d evaluations, want all %d (%d local, %d remote)", most, want, len(local), len(remote))
 	}
 }

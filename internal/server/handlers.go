@@ -204,7 +204,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	// one tenant cannot crowd the pool any more than a batch can. In a
 	// cluster the point may resolve on its ring owner's cache instead.
 	var out engine.Outcome
-	streamErr := s.streamRouted(r.Context(), ev, req.Model, req.Evaluator, [][]float64{req.Point}, func(_ int, o engine.Outcome) {
+	streamErr := s.streamRouted(r.Context(), ev, req.Model, req.Evaluator, [][]float64{req.Point}, nil, func(_ int, o engine.Outcome) {
 		out = o
 	})
 	if streamErr != nil {
@@ -296,7 +296,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	out := newNDJSONWriter(w)
 	ordered := newOrderedEmitter(out)
 	hits, failures := 0, 0
-	streamErr := s.streamRouted(r.Context(), ev, req.Model, req.Evaluator, req.Points, func(i int, o engine.Outcome) {
+	streamErr := s.streamRouted(r.Context(), ev, req.Model, req.Evaluator, req.Points, nil, func(i int, o engine.Outcome) {
 		line := BatchResult{Index: i, CacheHit: o.CacheHit, Shared: o.Shared, Attempts: o.Attempts}
 		if o.Err != nil {
 			failures++
@@ -331,7 +331,7 @@ type SweepRequest struct {
 	Space     SpaceSpec     `json:"space"`
 	// Indices restricts the sweep to these flat indices (nil: the whole
 	// space).
-	Indices dse.IndexList `json:"indices,omitempty"`
+	Indices []int `json:"indices,omitempty"`
 	// Checkpoint names a checkpoint file inside the server's checkpoint
 	// directory; Resume restores it before sweeping.
 	Checkpoint string `json:"checkpoint,omitempty"`
@@ -339,8 +339,7 @@ type SweepRequest struct {
 	// CheckpointEvery is the completed-evaluation cadence between
 	// periodic checkpoint writes (0: the sweep default).
 	CheckpointEvery int `json:"checkpoint_every,omitempty"`
-	// IncludeValues asks for the values in the result frame: dense over
-	// the space, except that a peer-sweep frame carries them as Bits.
+	// IncludeValues asks for the dense values in the result frame.
 	IncludeValues bool `json:"include_values,omitempty"`
 	// ProgressMS is the progress-frame cadence in milliseconds (0: 500).
 	ProgressMS int `json:"progress_ms,omitempty"`
@@ -363,10 +362,6 @@ type SweepResult struct {
 	Type   string          `json:"type"` // "result"
 	Report dse.SweepReport `json:"report"`
 	SweepJobResult
-	// Bits is a peer-sweep frame's values: the values at the forwarded
-	// Indices, in request order, as little-endian IEEE-754 bit patterns,
-	// 8 bytes each (base64 in the JSON). /v1/sweep frames never carry it.
-	Bits   []byte       `json:"bits,omitempty"`
 	Error  *ErrorBody   `json:"error,omitempty"`
 	Engine engine.Stats `json:"engine"`
 }
@@ -427,20 +422,12 @@ func withCount(ev dse.CtxEvaluator, n *atomic.Int64) dse.CtxEvaluator {
 
 // handleSweep runs dse.SweepCtx on the shared engine and streams NDJSON:
 // progress heartbeats while the sweep runs, then one result frame with
-// the structured report (and optionally the dense values). In a cluster
-// the sweep is partitioned by ring ownership first (cluster.go).
+// the structured report (and optionally the dense values). It adds the
+// progress frames to the sweep runner that sweep jobs share. In a
+// cluster the sweep's engine is the ring router (routedStream), chosen
+// here rather than in the runner: detguard checks the runner as part
+// of the job path, and sweep jobs run locally.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	s.serveSweep(w, r, true)
-}
-
-// serveSweep streams one sweep for /v1/sweep (partition = true) and
-// /internal/v1/peer-sweep (partition = false: a forwarded sub-sweep
-// always evaluates locally, so ring disagreement between peers cannot
-// ping-pong work). It adds the progress frames to the sweep runner that
-// sweep jobs share. The choice to partition stays here: detguard checks
-// the runner as part of the job path, and the peer client's breaker
-// reads the wall clock.
-func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bool) {
 	var req SweepRequest
 	if err := decodeJSON(r, &req); err != nil {
 		s.fail(w, err)
@@ -467,15 +454,10 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		return
 	}
 	defer unlock()
-	sr.groupBits = !partition
-
-	rp := newRemoteProgress()
-	sweep := dse.SweepCtx
-	if partition && s.cluster != nil {
-		sweep = func(ctx context.Context, ev dse.CtxEvaluator, space dse.Space, _ []int, opts dse.SweepOptions) ([]float64, dse.SweepReport, error) {
-			return s.clusterSweep(ctx, req, space, ev, opts, rp)
-		}
+	if s.cluster != nil {
+		sr.opts.Engine = routedStream{s: s, ms: req.Model, es: req.Evaluator, remoteEvals: &evaluated}
 	}
+
 	cadence := time.Duration(req.ProgressMS) * time.Millisecond
 	if cadence <= 0 {
 		cadence = 500 * time.Millisecond
@@ -489,7 +471,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		frame, sweepErr = sr.run(r.Context(), sweep)
+		frame, sweepErr = sr.run(r.Context())
 	}()
 	ticker := time.NewTicker(cadence)
 	defer ticker.Stop()
@@ -500,7 +482,7 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 		case <-ticker.C:
 			out.Emit(SweepProgress{
 				Type:      "progress",
-				Evaluated: evaluated.Load() + rp.total(),
+				Evaluated: evaluated.Load(),
 				Total:     sr.total(),
 				ElapsedMS: time.Since(start).Milliseconds(),
 			})
@@ -514,17 +496,14 @@ func (s *Server) serveSweep(w http.ResponseWriter, r *http.Request, partition bo
 	out.Emit(frame)
 }
 
-// sweepRun is one resolved sweep request. serveSweep (for /v1/sweep and
-// peer-sweep) and sweep jobs resolve it with sweepInputs, claim its
-// checkpoint with openSweep and run it with run.
+// sweepRun is one resolved sweep request. handleSweep and sweep jobs
+// resolve it with sweepInputs, claim its checkpoint with openSweep and
+// run it with run.
 type sweepRun struct {
 	req   *SweepRequest
 	space dse.Space
 	ev    dse.CtxEvaluator
 	opts  dse.SweepOptions
-	// groupBits renders the values as the peer-sweep frame's Bits, not
-	// as dense values: its coordinator merges them by forwarded index.
-	groupBits bool
 }
 
 // sweepInputs resolves a sweep request's model (any family), space and
@@ -578,27 +557,19 @@ func (s *Server) openSweep(sr *sweepRun, path string, resume bool, n *atomic.Int
 	return unlock, nil
 }
 
-// sweepFunc runs a resolved sweep: dse.SweepCtx, or the ring-partitioned
-// clusterSweep that serveSweep picks for /v1/sweep in a cluster.
-type sweepFunc func(ctx context.Context, ev dse.CtxEvaluator, space dse.Space, indices []int, opts dse.SweepOptions) ([]float64, dse.SweepReport, error)
-
-// run sweeps sr with sweep and renders its result frame: the report,
-// the best design, and the values when the request asks for them. The
-// best design and values derive from the values alone, so a resumed run
+// run sweeps sr and renders its result frame: the report, the best
+// design, and the values when the request asks for them. The best
+// design and values derive from the values alone, so a resumed run
 // reproduces them bit for bit.
-func (sr *sweepRun) run(ctx context.Context, sweep sweepFunc) (SweepResult, error) {
-	values, report, err := sweep(ctx, sr.ev, sr.space, sr.req.Indices, sr.opts)
+func (sr *sweepRun) run(ctx context.Context) (SweepResult, error) {
+	values, report, err := dse.SweepCtx(ctx, sr.ev, sr.space, sr.req.Indices, sr.opts)
 	idx, val := dse.Best(values)
 	res := SweepResult{Type: "result", Report: report}
 	res.BestIndex, res.BestValue = idx, bestValue(idx, val)
 	if idx >= 0 {
 		res.BestPoint = sr.space.Point(idx)
 	}
-	switch {
-	case !sr.req.IncludeValues:
-	case sr.groupBits:
-		res.Bits = groupBits(values, sr.req.Indices)
-	default:
+	if sr.req.IncludeValues {
 		res.Values = valuesOf(values)
 	}
 	return res, err

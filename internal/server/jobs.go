@@ -490,7 +490,7 @@ func (m *jobManager) runSweep(ctx context.Context, e *jobEntry, req *SweepReques
 		return nil, nil, err
 	}
 	defer unlock()
-	res, err := sr.run(ctx, dse.SweepCtx)
+	res, err := sr.run(ctx)
 	return res.SweepJobResult, &res.Report, err
 }
 

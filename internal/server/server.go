@@ -62,8 +62,9 @@ const (
 	DefaultMaxTimeout = 5 * time.Minute
 	// RetryAfter is the Retry-After hint of an admission 429.
 	RetryAfter = 1 * time.Second
-	// MaxBatchPoints bounds the points of one batch or peer-eval request.
-	MaxBatchPoints = 1 << 17
+	// MaxBatchPoints bounds the points of one batch request, as
+	// cluster.MaxBatchPoints bounds one peer-eval exchange.
+	MaxBatchPoints = cluster.MaxBatchPoints
 )
 
 // Options configures a new Server.
@@ -109,9 +110,9 @@ type Options struct {
 
 	// Cluster joins this server to a peer tier (internal/cluster): each
 	// (fingerprint, point) key is routed to its ring owner, remote-owned
-	// points travel over POST /internal/v1/peer-eval, sweeps are
-	// partitioned by ownership, and any peer failure falls back to local
-	// compute. Nil runs the server standalone (the endpoints 404). Pass
+	// points of evaluates, batches and sweeps travel over POST
+	// /internal/v1/peer-eval, and any peer failure falls back to local
+	// compute. Nil runs the server standalone (the endpoint 404s). Pass
 	// the same obs.Registry to both so /metrics shows the cluster_*
 	// instruments.
 	Cluster *cluster.Cluster
@@ -254,7 +255,6 @@ func New(opts Options) *Server {
 	s.mux.Handle("POST /v1/aps", s.work("server.aps", s.handleAPS))
 	if s.cluster != nil {
 		s.mux.Handle("POST /internal/v1/peer-eval", s.peerWork("server.peer_eval", s.handlePeerEval))
-		s.mux.Handle("POST /internal/v1/peer-sweep", s.peerWork("server.peer_sweep", s.handlePeerSweep))
 	}
 	if opts.JobDir != "" {
 		s.jobs = newJobManager(s, opts.JobDir)

@@ -123,7 +123,10 @@ func (c *runConfig) context(ctx context.Context) context.Context {
 // This is the ground-truth path.
 func Sweep(ctx context.Context, e CtxEvaluator, s DesignSpace, opts ...Option) ([]float64, SweepReport, error) {
 	c := newRunConfig(opts)
-	c.sweep.Engine = c.engine
+	if c.engine != nil {
+		// A nil *Engine in the interface field would not read as nil.
+		c.sweep.Engine = c.engine
+	}
 	return dse.SweepCtx(c.context(ctx), e, s, nil, c.sweep)
 }
 
