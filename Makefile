@@ -86,9 +86,11 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzDetectorMatchesBatch -fuzztime 10s ./internal/detector
 	$(GO) test -run XXX -fuzz FuzzTrackerMatchesUnion -fuzztime 10s ./internal/apc
 	$(GO) test -run XXX -fuzz FuzzLoadSnapshot -fuzztime 10s ./internal/engine
+	$(GO) test -run XXX -fuzz FuzzMemoCacheMatchesLRU -fuzztime 10s ./internal/engine
 	$(GO) test -run XXX -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/dse
 	$(GO) test -run XXX -fuzz FuzzJobStoreLoad -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzDecodePeerEval -fuzztime 10s ./internal/cluster
+	$(GO) test -run XXX -fuzz FuzzReadPeerEvalRequest -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzLoadTenantsFile -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzLoadPeersFile -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzValueListMatchesElementwise -fuzztime 10s ./internal/server

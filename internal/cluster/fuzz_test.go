@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 )
@@ -129,6 +131,95 @@ func FuzzLoadPeersFile(f *testing.F) {
 		}
 		if !reflect.DeepEqual(reloaded, cfg) {
 			t.Fatalf("round trip changed the table:\n%+v\n%+v", cfg, reloaded)
+		}
+	})
+}
+
+// canonJSON is a header field as the encoder writes it back: compacted,
+// and an absent field as null.
+func canonJSON(t *testing.T, raw json.RawMessage) string {
+	if len(raw) == 0 {
+		return "null"
+	}
+	var b bytes.Buffer
+	if err := json.Compact(&b, raw); err != nil {
+		t.Fatalf("decoded field %q is not JSON: %v", raw, err)
+	}
+	return b.String()
+}
+
+// FuzzReadPeerEvalRequest holds the peer-eval request decoder to its
+// contract on arbitrary bodies: it either fails, or decodes a request
+// that, re-encoded the way EvalOnPeer sends one (the header
+// re-marshalled, the points through requestBody), decodes again to the
+// same model, evaluator and point bits. A successful decode allocates
+// the point list (24 bytes a point, which the decoder accepts for what
+// the header claims) plus an amount bounded by the bytes it read. The
+// seeds are TestPeerEvalRequestRoundTrip's request, a one-point request
+// with an evaluator and null coordinates' neighbours (−0, NaN payloads,
+// ±Inf), and its forgeries.
+func FuzzReadPeerEvalRequest(f *testing.F) {
+	body := func(head string, points [][]float64) []byte {
+		b, err := io.ReadAll(newRequestBody([]byte(head+"\n"), points))
+		if err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	points := make([][]float64, 2*blockPoints+3)
+	for i := range points {
+		points[i] = []float64{float64(i), math.Copysign(0, -1), math.Inf(1), math.Float64frombits(0x7ff8000000000001 + uint64(i))}
+	}
+	f.Add(body(`{"model":{"app":"tmm"},"points":2051,"dims":4}`, points))
+	f.Add(body(`{"model":{"app":"tmm","family":"gpu"},"evaluator":{"kind":"sim","total_refs":60000},"points":1,"dims":6}`,
+		[][]float64{{math.Inf(-1), math.Float64frombits(1), math.MaxFloat64, math.Float64frombits(0xfff8000000000000), 16, 256}}))
+	for _, forged := range []string{
+		forgedResponse(`{"model":{},"points":0,"dims":1}`, 0),
+		forgedResponse(`{"model":{},"points":131073,"dims":1}`, 8*131073),
+		forgedResponse(`{"model":{},"points":1,"dims":65}`, 8*65),
+		forgedResponse(`{"model":{},"points":2,"dims":3}`, 47),
+		forgedResponse(`{"model":{},"points":2,"dims":3}`, 49),
+		forgedResponse(`{"model":{},"points":2,"dims":3,"x":1}`, 48),
+	} {
+		f.Add([]byte(forged))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		req, err := ReadPeerEvalRequest(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			return
+		}
+		if limit := 24*uint64(len(req.Points)) + 4*uint64(len(data)) + 64<<10; after.TotalAlloc-before.TotalAlloc > limit {
+			t.Fatalf("decoding %d bytes into %d points allocated %d bytes, want at most %d",
+				len(data), len(req.Points), after.TotalAlloc-before.TotalAlloc, limit)
+		}
+		dims := len(req.Points[0])
+		head, err := json.Marshal(requestHeader{Model: req.Model, Evaluator: req.Evaluator, Points: len(req.Points), Dims: dims})
+		if err != nil {
+			t.Fatalf("decoded request's header does not encode: %v", err)
+		}
+		again, err := ReadPeerEvalRequest(newRequestBody(append(head, '\n'), req.Points))
+		if err != nil {
+			t.Fatalf("re-encoded request does not decode: %v\n%s", err, head)
+		}
+		if canonJSON(t, again.Model) != canonJSON(t, req.Model) || canonJSON(t, again.Evaluator) != canonJSON(t, req.Evaluator) {
+			t.Fatalf("model/evaluator %s/%s became %s/%s on re-encoding", req.Model, req.Evaluator, again.Model, again.Evaluator)
+		}
+		if len(again.Points) != len(req.Points) {
+			t.Fatalf("%d points became %d on re-encoding", len(req.Points), len(again.Points))
+		}
+		for i, p := range req.Points {
+			if len(p) != dims || len(again.Points[i]) != dims {
+				t.Fatalf("point %d has %d coordinates, re-decoded %d, want %d", i, len(p), len(again.Points[i]), dims)
+			}
+			for j, v := range p {
+				if math.Float64bits(again.Points[i][j]) != math.Float64bits(v) {
+					t.Fatalf("point %d coordinate %d bits changed on re-encoding: %x → %x", i, j, math.Float64bits(v), math.Float64bits(again.Points[i][j]))
+				}
+			}
 		}
 	})
 }

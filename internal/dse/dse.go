@@ -63,12 +63,17 @@ func (s Space) DimIndex(name string) (int, error) {
 // (row-major: the last dimension varies fastest).
 func (s Space) Coords(idx int) []int {
 	coords := make([]int, len(s.Params))
+	s.decode(coords, idx)
+	return coords
+}
+
+// decode writes a flat index's per-dimension value indices to coords.
+func (s Space) decode(coords []int, idx int) {
 	for d := len(s.Params) - 1; d >= 0; d-- {
 		n := len(s.Params[d].Values)
 		coords[d] = idx % n
 		idx /= n
 	}
-	return coords
 }
 
 // Index encodes per-dimension value indices into a flat index.
@@ -88,23 +93,6 @@ func (s Space) Point(idx int) []float64 {
 		point[d] = s.Params[d].Values[c]
 	}
 	return point
-}
-
-// AppendPoint appends the parameter values at a flat index to dst and
-// returns the extended slice. It is Point without the per-point
-// allocations: sweep planes build one flat slab and slice it, so a
-// million-point plane costs one allocation instead of two million.
-func (s Space) AppendPoint(dst []float64, idx int) []float64 {
-	base := len(dst)
-	for range s.Params {
-		dst = append(dst, 0)
-	}
-	for d := len(s.Params) - 1; d >= 0; d-- {
-		vals := s.Params[d].Values
-		dst[base+d] = vals[idx%len(vals)]
-		idx /= len(vals)
-	}
-	return dst
 }
 
 // Neighborhood returns the flat indices obtained by varying the listed

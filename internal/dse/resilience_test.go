@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -339,5 +341,104 @@ func TestCheckpointRoundTripsNonFiniteValues(t *testing.T) {
 		if math.Float64bits(ck.Values[i]) != math.Float64bits(want) {
 			t.Fatalf("value %d: %v != %v", i, ck.Values[i], want)
 		}
+	}
+}
+
+// slabRecorder is a Streamer that keeps the points a sweep hands it and
+// completes every one.
+type slabRecorder struct{ points [][]float64 }
+
+func (r *slabRecorder) EvaluateStream(ctx context.Context, _ CtxEvaluator, points [][]float64, yield func(int, engine.Outcome)) error {
+	r.points = points
+	for i := range points {
+		yield(i, engine.Outcome{Value: float64(i)})
+	}
+	return ctx.Err()
+}
+
+// TestSweepCtxSlabMatchesSpacePoint checks every point of the sweep's
+// slab against Space.Point of its index, for index lists the odometer
+// steps through (whole space, runs broken by gaps) and ones it decodes
+// afresh (shuffled, repeated, descending), and the completed list of
+// each: sorted, a repeated index as often as asked, resumed ones in.
+func TestSweepCtxSlabMatchesSpacePoint(t *testing.T) {
+	s, err := NewSpace(
+		Param{Name: "a", Values: []float64{1, 2, 3}},
+		Param{Name: "b", Values: []float64{-0.5}},
+		Param{Name: "c", Values: []float64{10, 20, 30, 40}},
+		Param{Name: "d", Values: []float64{7, 8}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := s.Size()
+	all := make([]int, size)
+	descending := make([]int, size)
+	for i := range all {
+		all[i], descending[i] = i, size-1-i
+	}
+	shuffled := rand.New(rand.NewPCG(7, 29)).Perm(size)
+	repeated := []int{0, 1, 1, 2, 2, 2, 23, 22, 23, 5, 6, 5, 6, 0}
+	ck := filepath.Join(t.TempDir(), "gaps.ck")
+	var gaps []int // every third index, and the first run of four
+	for i := 0; i < size; i++ {
+		if i%3 == 0 || i < 4 {
+			gaps = append(gaps, i)
+		}
+	}
+	if err := SaveCheckpoint(ck, s, make([]float64, size), gaps); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		indices []int
+		opts    SweepOptions
+		resumed []int
+	}{
+		{name: "whole space", indices: nil},
+		{name: "shuffled", indices: shuffled},
+		{name: "repeated", indices: repeated},
+		{name: "descending", indices: descending},
+		{name: "resumed with gaps", indices: nil, opts: SweepOptions{CheckpointPath: ck, Resume: true}, resumed: gaps},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			asked := tc.indices
+			if asked == nil {
+				asked = all
+			}
+			isResumed := make(map[int]bool)
+			for _, idx := range tc.resumed {
+				isResumed[idx] = true
+			}
+			var pending []int
+			for _, idx := range asked {
+				if !isResumed[idx] {
+					pending = append(pending, idx)
+				}
+			}
+			rec := &slabRecorder{}
+			opts := tc.opts
+			opts.Engine = rec
+			_, rep, err := SweepCtx(context.Background(), nil, s, tc.indices, opts)
+			if err != nil {
+				t.Fatalf("SweepCtx: %v", err)
+			}
+			if len(rec.points) != len(pending) {
+				t.Fatalf("slab holds %d points, want %d", len(rec.points), len(pending))
+			}
+			for i, idx := range pending {
+				want := s.Point(idx)
+				for d, v := range want {
+					if math.Float64bits(rec.points[i][d]) != math.Float64bits(v) || len(rec.points[i]) != len(want) {
+						t.Fatalf("point %d (index %d) = %v, want %v", i, idx, rec.points[i], want)
+					}
+				}
+			}
+			wantCompleted := append([]int(nil), asked...)
+			slices.Sort(wantCompleted)
+			if !slices.Equal(rep.Completed, wantCompleted) || rep.Resumed != len(asked)-len(pending) {
+				t.Fatalf("completed %v (%d resumed), want %v (%d resumed)", rep.Completed, rep.Resumed, wantCompleted, len(asked)-len(pending))
+			}
+		})
 	}
 }

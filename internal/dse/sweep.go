@@ -174,6 +174,23 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 
 	// Resume: restore completed indices from the checkpoint.
 	done := make(map[int]bool)
+	// times counts each flat index's completions, resumed ones included:
+	// the report's completed list is read off it in index order, an
+	// index listed as often as it completed.
+	times := make([]int32, size)
+	completed := 0
+	completedList := func() []int {
+		if completed == 0 {
+			return nil
+		}
+		list := make([]int, 0, completed)
+		for idx, k := range times {
+			for ; k > 0; k-- {
+				list = append(list, idx)
+			}
+		}
+		return list
+	}
 	if opts.Resume && opts.CheckpointPath != "" {
 		_, resumeSp := tr.Start(ctx, "dse.resume", obs.S("path", opts.CheckpointPath))
 		ck, err := LoadCheckpoint(opts.CheckpointPath)
@@ -208,7 +225,8 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	pending := make([]int, 0, len(indices))
 	for _, idx := range indices {
 		if done[idx] {
-			rep.Completed = append(rep.Completed, idx)
+			times[idx]++
+			completed++
 			rep.Resumed++
 		} else {
 			pending = append(pending, idx)
@@ -225,29 +243,47 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	}
 
 	// The plane is one flat slab sliced per point: a single allocation
-	// feeds the engine's batched path with cache-adjacent points.
+	// feeds the engine's batched path with cache-adjacent points. The
+	// points come off an odometer of per-dimension value indices, which
+	// steps from one index to the next (a whole-space sweep's order) and
+	// decodes any other index afresh.
 	dims := s.Dims()
-	slab := make([]float64, 0, len(pending)*dims)
+	slab := make([]float64, len(pending)*dims)
 	points := make([][]float64, len(pending))
+	digits := make([]int, dims)
+	next := 0 // the flat index digits holds
 	for i, idx := range pending {
-		lo := len(slab)
-		slab = s.AppendPoint(slab, idx)
-		points[i] = slab[lo:len(slab):len(slab)]
+		if idx != next {
+			s.decode(digits, idx)
+		}
+		p := slab[i*dims : (i+1)*dims : (i+1)*dims]
+		for d, c := range digits {
+			p[d] = s.Params[d].Values[c]
+		}
+		points[i] = p
+		for d := dims - 1; d >= 0; d-- {
+			digits[d]++
+			if digits[d] < len(s.Params[d].Values) {
+				break
+			}
+			digits[d] = 0
+		}
+		next = idx + 1
 	}
 
 	every := opts.CheckpointEvery
 	if every <= 0 {
 		every = 256
 	}
-	saw := make([]bool, size) // by flat index: a pending index seen settled
+	var failed map[int]bool // pending indices that failed (nil until one does)
 	sinceCk := 0
 	var ckErr error
 	save := func() {
 		if opts.CheckpointPath == "" || ckErr != nil {
 			return
 		}
-		_, ckSp := tr.Start(ctx, "dse.checkpoint", obs.I("completed", int64(len(rep.Completed))))
-		ckErr = SaveCheckpoint(opts.CheckpointPath, s, values, rep.Completed)
+		_, ckSp := tr.Start(ctx, "dse.checkpoint", obs.I("completed", int64(completed)))
+		ckErr = SaveCheckpoint(opts.CheckpointPath, s, values, completedList())
 		if ckErr == nil {
 			checkpointC.Add(1)
 		} else {
@@ -269,19 +305,22 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 				// resumed sweep picks it up again.
 				return
 			}
-			saw[idx] = true
+			if failed == nil {
+				failed = make(map[int]bool)
+			}
+			failed[idx] = true
 			failedC.Add(1)
 			rep.Failed = append(rep.Failed, IndexFailure{Index: idx, Attempts: o.Attempts, Err: o.Err.Error()})
 			return
 		}
-		saw[idx] = true
 		if o.CacheHit || o.Shared {
 			rep.CacheHits++
 			cacheHitC.Add(1)
 		}
 		completedC.Add(1)
 		values[idx] = o.Value
-		rep.Completed = append(rep.Completed, idx)
+		times[idx]++
+		completed++
 		sinceCk++
 		if sinceCk >= every {
 			sinceCk = 0
@@ -290,11 +329,11 @@ func SweepCtx(ctx context.Context, e CtxEvaluator, s Space, indices []int, opts 
 	})
 	batchSp.Finish()
 	for _, idx := range pending {
-		if !saw[idx] {
+		if times[idx] == 0 && !failed[idx] {
 			rep.Pending = append(rep.Pending, idx)
 		}
 	}
-	sort.Ints(rep.Completed)
+	rep.Completed = completedList()
 	sort.Slice(rep.Failed, func(i, j int) bool { return rep.Failed[i].Index < rep.Failed[j].Index })
 	save()
 	if ckErr != nil {

@@ -12,9 +12,14 @@
 //     never a wrong value — so overlapping
 //     explorations — APS re-simulating a neighborhood a ground-truth
 //     sweep already covered, the optimizer re-probing a design — pay for
-//     each distinct evaluation once,
+//     each distinct evaluation once. Its storage holds no pointer (slot
+//     pages linked by slot number, points in float64 arena pages, and an
+//     open-addressed index with per-engine seeded homes), so the garbage
+//     collector never scans it, and an insert into a full cache reuses
+//     the evicted entry's slot and room without allocating,
 //   - in-flight deduplication (singleflight): concurrent requests for the
-//     same key wait for the first computation instead of repeating it,
+//     same key wait for the first computation instead of repeating it;
+//     the in-flight table is the memo index's table type,
 //   - the resilience machinery of package robust (panic isolation and
 //     retry with exponential backoff), applied uniformly so no caller has
 //     to wire it separately,
@@ -89,7 +94,8 @@ type Options struct {
 	Workers int
 	// CacheSize is the memoization capacity in entries. Zero selects
 	// DefaultCacheSize; a negative value disables caching (and with it
-	// in-flight deduplication).
+	// in-flight deduplication). The cache's storage grows with its
+	// entries, and a capacity beyond 2^31−2 entries is clamped to it.
 	CacheSize int
 	// Retry governs re-attempts of failing or panicking evaluations; the
 	// zero value selects robust.DefaultRetry. Its backoff jitter runs on
@@ -117,8 +123,10 @@ type Options struct {
 }
 
 // DefaultCacheSize is the memoization capacity when Options.CacheSize is
-// zero. An entry costs ~130 bytes (hash, identity point copy, value,
-// list links), so the default stays well under 100 MB even when full.
+// zero. A full cache costs 80 + 8·dims bytes an entry: a 48-byte slot
+// (hash, value, identity, recency links), the point's coordinates and
+// two 16-byte index cells. Full of six-coordinate design points the
+// default measures 130.0 bytes an entry, 34.1 MB.
 const DefaultCacheSize = 1 << 18
 
 // Outcome is the full result of one evaluation request.
@@ -160,7 +168,7 @@ type Engine struct {
 
 	mu       sync.Mutex
 	cache    *lruCache // nil when caching is disabled
-	inflight map[uint64]*call
+	inflight table[*call]
 	fps      map[string]uint32 // fingerprint → interned ID for exact key checks
 
 	tracer *obs.Tracer
@@ -219,7 +227,7 @@ func New(opts Options) *Engine {
 		rng:      robust.NewRNG(0),
 		sem:      make(chan struct{}, workers),
 		gate:     opts.Gate,
-		inflight: make(map[uint64]*call),
+		inflight: newTable[*call](),
 		fps:      make(map[string]uint32),
 		tracer:   opts.Tracer,
 		obs:      newInstruments(opts.Metrics),
@@ -340,7 +348,8 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 				hits++
 				continue
 			}
-			c, busy := e.inflight[hashes[i]]
+			c := e.inflight.get(hashes[i])
+			busy := c != nil
 			if busy && c.fpID == fpID && pointsEqual(c.point, p) {
 				deferred = append(deferred, deferral{i: i, c: c})
 				continue
@@ -354,7 +363,7 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 					done = make(chan struct{})
 				}
 				calls[i] = call{fpID: fpID, point: p, done: done}
-				e.inflight[hashes[i]] = &calls[i]
+				e.inflight.put(hashes[i], &calls[i])
 				owned++
 			}
 			miss = append(miss, i)
@@ -384,12 +393,12 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 		// them), so a size match means the in-flight table holds nothing
 		// else and they can be released in bulk — the common
 		// single-stream case, where per-key deletes would be the costliest
-		// map traffic of the publish path.
-		bulk := owned == len(e.inflight)
+		// table traffic of the publish path.
+		bulk := owned == e.inflight.len()
 		if bulk {
-			clear(e.inflight)
+			e.inflight.reset()
 		}
-		memo := miss[:0] // owned successes, filtered in place
+		var evicted uint64
 		for _, i := range miss {
 			c := &calls[i]
 			if c.done == nil {
@@ -397,13 +406,12 @@ func (e *Engine) resolve(ctx context.Context, ev robust.Evaluator, k memoKey, pt
 			}
 			c.out = outs[i]
 			if !bulk {
-				delete(e.inflight, hashes[i])
+				e.inflight.del(hashes[i])
 			}
-			if outs[i].Err == nil {
-				memo = append(memo, i)
+			if outs[i].Err == nil && e.cache.add(hashes[i], fpID, pts[i], outs[i].Value) {
+				evicted++
 			}
 		}
-		evicted := e.cache.addChunk(hashes, fpID, pts, outs, memo)
 		e.mu.Unlock()
 		close(done)
 		if evicted > 0 {

@@ -69,32 +69,31 @@ func (e *Engine) encodeSnapshot() ([]byte, int, error) {
 	}
 	var fpOrder []string
 	fpIdx := make(map[uint32]uint32)
-	var entries []*lruEntry
-	for le := e.cache.root.prev; le != &e.cache.root; le = le.prev {
-		if _, ok := fpIdx[le.fpID]; !ok {
-			fpIdx[le.fpID] = uint32(len(fpOrder))
-			fpOrder = append(fpOrder, fpByID[le.fpID])
+	e.cache.walk(func(_ int32, s *slot, _ []float64) {
+		if _, ok := fpIdx[s.fpID]; !ok {
+			fpIdx[s.fpID] = uint32(len(fpOrder))
+			fpOrder = append(fpOrder, fpByID[s.fpID])
 		}
-		entries = append(entries, le)
-	}
-	buf := make([]byte, 0, 16+len(entries)*64)
+	})
+	n := e.cache.len()
+	buf := make([]byte, 0, 16+n*64)
 	buf = append(buf, snapshotMagic[:]...)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fpOrder)))
 	for _, fp := range fpOrder {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(fp)))
 		buf = append(buf, fp...)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(entries)))
-	for _, le := range entries {
-		buf = binary.LittleEndian.AppendUint32(buf, fpIdx[le.fpID])
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(le.point)))
-		for _, v := range le.point {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
+	e.cache.walk(func(_ int32, s *slot, point []float64) {
+		buf = binary.LittleEndian.AppendUint32(buf, fpIdx[s.fpID])
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(point)))
+		for _, v := range point {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(le.val))
-	}
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(s.val))
+	})
 	buf = binary.LittleEndian.AppendUint64(buf, fnvSum(buf))
-	return buf, len(entries), nil
+	return buf, n, nil
 }
 
 // LoadSnapshot restores a snapshot into the cache, returning the number

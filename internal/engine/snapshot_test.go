@@ -112,17 +112,17 @@ func TestSnapshotLoadKeysEntriesUnderKeyHash(t *testing.T) {
 		fpByID[id] = fp
 	}
 	seen := 0
-	for le := e2.cache.root.next; le != &e2.cache.root; le = le.next {
+	e2.cache.walk(func(s int32, le *slot, point []float64) {
 		fp, ok := fpByID[le.fpID]
 		if !ok {
-			t.Fatalf("entry %v carries fingerprint ID %d, which is not interned", le.point, le.fpID)
+			t.Fatalf("entry %v carries fingerprint ID %d, which is not interned", point, le.fpID)
 		}
-		key := KeyHash(KeySeed(fp), le.point)
-		if le.hash != key || e2.cache.items[key] != le {
-			t.Fatalf("entry %v of %q sits under %016x, want KeyHash %016x", le.point, fp, le.hash, key)
+		key := KeyHash(KeySeed(fp), point)
+		if le.hash != key || e2.cache.index.get(key) != s {
+			t.Fatalf("entry %v of %q sits under %016x, want KeyHash %016x", point, fp, le.hash, key)
 		}
 		seen++
-	}
+	})
 	if seen != n || len(fpByID) != len(evs) {
 		t.Fatalf("walked %d entries under %d fingerprints, want %d under %d", seen, len(fpByID), n, len(evs))
 	}
