@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -393,5 +394,165 @@ func TestStatsDeltaAndString(t *testing.T) {
 	}
 	if hr := d.HitRate(); hr != 0.5 {
 		t.Fatalf("hit rate = %v", hr)
+	}
+}
+
+// meterRun is everything one evaluation leaves behind on a fresh engine:
+// the outcome, the Stats counters, the instruments Stats does not carry
+// and the engine.eval spans' attempts and error attributes.
+type meterRun struct {
+	out         Outcome
+	stats       Stats
+	evalSeconds uint64
+	inflight    int64
+	spans       []string
+}
+
+// errClass names the class of an outcome's error, the part of it a
+// caller dispatches on.
+func errClass(err error) string {
+	var pe *robust.PanicError
+	switch {
+	case err == nil:
+		return "none"
+	case errors.As(err, &pe):
+		return "panic"
+	case isContextErr(err):
+		return "context"
+	default:
+		return "fault"
+	}
+}
+
+// TestPlainAndBatchEvaluatorsMeterAlike runs each outcome an evaluation
+// can have (a value, +Inf, a fault that clears on retry, a persistent
+// fault and a panic) through a plain Func and through its BatchFunc
+// twin, by Do and by a one-point EvaluateStream, and an already-cancelled
+// context through Do. The twins must agree on the outcome and on
+// everything the engine meters, and the plain side must match the
+// closed-form counts of the retry policy.
+func TestPlainAndBatchEvaluatorsMeterAlike(t *testing.T) {
+	fault := errors.New("evaluator fault")
+	scenarios := []struct {
+		name      string
+		f         func(call int64, p []float64) (float64, error) // call counts from 1
+		cancelled bool
+		// Closed-form counts of the plain side.
+		attempts                            int
+		evaluations, retries, fails, panics uint64
+	}{
+		{name: "ok", f: func(_ int64, p []float64) (float64, error) { return p[0] * 2, nil },
+			attempts: 1, evaluations: 1},
+		{name: "inf", f: func(int64, []float64) (float64, error) { return math.Inf(1), nil },
+			attempts: 1, evaluations: 1},
+		{name: "fail-once", f: func(call int64, p []float64) (float64, error) {
+			if call == 1 {
+				return math.NaN(), fault
+			}
+			return p[0] + 1, nil
+		}, attempts: 2, evaluations: 2, retries: 1},
+		{name: "always-fail", f: func(int64, []float64) (float64, error) { return math.NaN(), fault },
+			attempts: 3, evaluations: 3, retries: 2, fails: 1},
+		{name: "panic", f: func(int64, []float64) (float64, error) { panic("evaluator panic") },
+			attempts: 3, evaluations: 3, retries: 2, fails: 1, panics: 3},
+		{name: "cancelled", f: func(_ int64, p []float64) (float64, error) { return p[0], nil },
+			cancelled: true},
+	}
+	run := func(batched, stream bool, f func(int64, []float64) (float64, error), cancelled bool) meterRun {
+		var calls atomic.Int64
+		fn := func(_ context.Context, p []float64) (float64, error) { return f(calls.Add(1), p) }
+		var ev robust.Evaluator = Func{FP: "meter", F: fn}
+		if batched {
+			ev = BatchFunc{Func: Func{FP: "meter", F: fn}, B: func(ctx context.Context, pts [][]float64, out []float64) error {
+				for i, p := range pts {
+					v, err := fn(ctx, p)
+					if err != nil {
+						return err
+					}
+					out[i] = v
+				}
+				return nil
+			}}
+		}
+		reg, tr := obs.NewRegistry(), obs.NewTracer(64)
+		e := New(Options{
+			Workers: 1,
+			Retry:   robust.RetryPolicy{MaxAttempts: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond},
+			Tracer:  tr,
+			Metrics: reg,
+		})
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		if cancelled {
+			cancel()
+		}
+		var r meterRun
+		point := []float64{1.5}
+		if stream {
+			yields := 0
+			if err := e.EvaluateStream(ctx, ev, [][]float64{point}, func(_ int, o Outcome) {
+				r.out = o
+				yields++
+			}); err != nil || yields != 1 {
+				t.Fatalf("stream: err %v, %d yields, want nil and 1", err, yields)
+			}
+		} else {
+			r.out = e.Do(ctx, ev, point)
+		}
+		r.stats = e.Stats()
+		r.stats.WallTime = 0
+		r.evalSeconds = reg.Histogram("engine_eval_seconds", nil).Count()
+		r.inflight = reg.Gauge("engine_inflight").Value()
+		for _, sp := range tr.Snapshot() {
+			if sp.Name != "engine.eval" {
+				continue
+			}
+			attrs := map[string]interface{}{}
+			for _, a := range sp.Attrs {
+				attrs[a.Key] = a.Value
+			}
+			r.spans = append(r.spans, fmt.Sprintf("attempts=%v error=%v", attrs["attempts"], attrs["error"]))
+		}
+		return r
+	}
+	for _, sc := range scenarios {
+		for _, stream := range []bool{false, true} {
+			if stream && sc.cancelled {
+				continue
+			}
+			name := sc.name + "/Do"
+			if stream {
+				name = sc.name + "/EvaluateStream"
+			}
+			t.Run(name, func(t *testing.T) {
+				plain := run(false, stream, sc.f, sc.cancelled)
+				batch := run(true, stream, sc.f, sc.cancelled)
+				po, bo := plain.out, batch.out
+				if math.Float64bits(po.Value) != math.Float64bits(bo.Value) || po.Attempts != bo.Attempts ||
+					po.CacheHit != bo.CacheHit || po.Shared != bo.Shared || errClass(po.Err) != errClass(bo.Err) {
+					t.Errorf("outcomes differ: plain %+v, batch %+v", po, bo)
+				}
+				if plain.stats != batch.stats {
+					t.Errorf("stats differ:\nplain %+v\nbatch %+v", plain.stats, batch.stats)
+				}
+				if plain.evalSeconds != batch.evalSeconds || plain.evalSeconds != plain.stats.Evaluations {
+					t.Errorf("engine_eval_seconds count: plain %d, batch %d, want both %d evaluations",
+						plain.evalSeconds, batch.evalSeconds, plain.stats.Evaluations)
+				}
+				if plain.inflight != 0 || batch.inflight != 0 {
+					t.Errorf("engine_inflight ends at plain %d, batch %d, want 0", plain.inflight, batch.inflight)
+				}
+				if fmt.Sprint(plain.spans) != fmt.Sprint(batch.spans) || len(plain.spans) != 1 {
+					t.Errorf("engine.eval spans: plain %q, batch %q, want one alike", plain.spans, batch.spans)
+				}
+				st := plain.stats
+				if po.Attempts != sc.attempts || st.Evaluations != sc.evaluations || st.Retries != sc.retries ||
+					st.Failures != sc.fails || st.Panics != sc.panics {
+					t.Errorf("plain: %d attempts, %d evaluations, %d retries, %d failures, %d panics; want %d, %d, %d, %d, %d",
+						po.Attempts, st.Evaluations, st.Retries, st.Failures, st.Panics,
+						sc.attempts, sc.evaluations, sc.retries, sc.fails, sc.panics)
+				}
+			})
+		}
 	}
 }

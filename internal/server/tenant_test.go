@@ -1,14 +1,21 @@
 package server
 
 import (
+	"bytes"
+	"context"
+	"io"
 	"math"
 	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/dse"
+	"repro/internal/engine"
 	"repro/internal/obs"
 )
 
@@ -296,5 +303,68 @@ func TestTenantEngineSlotsCountsGrants(t *testing.T) {
 	}
 	if got := reg.Counter(obs.Labeled("tenant_engine_slots_total", "tenant", AnonymousTenant)).Value(); got != 8 {
 		t.Fatalf("tenant_engine_slots_total = %d, want 8 grants for 4096 points on 2 workers", got)
+	}
+}
+
+// peakEvaluator is a plain (unbatched) evaluator that forwards its inner
+// evaluator's fingerprint and records the peak number of its EvaluateCtx
+// calls running at once.
+type peakEvaluator struct {
+	dse.CtxEvaluator
+	running, peak *atomic.Int64
+}
+
+func (p peakEvaluator) EvaluateCtx(ctx context.Context, pt []float64) (float64, error) {
+	n := p.running.Add(1)
+	defer p.running.Add(-1)
+	for old := p.peak.Load(); n > old && !p.peak.CompareAndSwap(old, n); old = p.peak.Load() {
+	}
+	time.Sleep(200 * time.Microsecond)
+	return p.CtxEvaluator.EvaluateCtx(ctx, pt)
+}
+
+func (p peakEvaluator) Fingerprint() string {
+	return p.CtxEvaluator.(engine.Fingerprinter).Fingerprint()
+}
+
+// TestEngineGateBoundsWorkers pins the engine pool's bound on a server:
+// eight concurrent batches from two weighted tenants, all admitted at
+// once, never run more evaluations at a time than the engine has
+// workers, and do reach that many.
+func TestEngineGateBoundsWorkers(t *testing.T) {
+	var running, peak atomic.Int64
+	prev := testWrapEvaluator
+	testWrapEvaluator = func(ev dse.CtxEvaluator) dse.CtxEvaluator {
+		return peakEvaluator{CtxEvaluator: ev, running: &running, peak: &peak}
+	}
+	t.Cleanup(func() { testWrapEvaluator = prev })
+	_, ts := newTestServer(t, Options{
+		Workers:       2,
+		MaxConcurrent: 8,
+		CacheSize:     -1,
+		Tenants: []TenantConfig{
+			{Name: "heavy", Key: "heavy-key", Weight: 3},
+			{Name: "light", Key: "light-key", Weight: 1},
+		},
+	})
+	req := BatchRequest{Model: ModelSpec{App: "tmm"}, Points: testPoints(t, 48)}
+	var wg sync.WaitGroup
+	for i := 0; i < 8; i++ {
+		key := []string{"heavy-key", "light-key"}[i%2]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp := postJSONKeyed(t, &http.Client{}, ts.URL+"/v1/evaluate:batch", key, req)
+			defer resp.Body.Close()
+			body, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusOK || !bytes.Contains(body, []byte(`"done":true,"points":48,`)) ||
+				!bytes.Contains(body, []byte(`"errors":0,`)) {
+				t.Errorf("batch as %s: status %d, body ends %q", key, resp.StatusCode, body[max(0, len(body)-200):])
+			}
+		}()
+	}
+	wg.Wait()
+	if got := peak.Load(); got != 2 {
+		t.Fatalf("peak concurrent evaluations = %d, want the engine's 2 workers", got)
 	}
 }
