@@ -73,12 +73,15 @@ func chunkSize(n, workers int) int {
 	return min(max((n+4*workers-1)/(4*workers), 16), 512, n)
 }
 
-// computeChunk is computeInner for a chunk's misses: one guarded,
-// retried EvaluateBatch call over pts[i] for every i in miss, writing
-// outs[i]. It is metered like computeInner: evaluations and failures
-// counted per point, one eval-seconds observation per raw evaluation,
-// retries counted per extra attempt.
-func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]float64, miss []int, outs []Outcome) {
+// computeChunk computes a chunk's misses, pts[i] for every i in miss,
+// writing outs[i]: one guarded, retried call (see guarded) under one
+// engine.eval span. Evaluations and failures are counted per point,
+// panics and retries per attempt, and engine_eval_seconds takes one
+// observation per raw evaluation (the amortized per-point latency), so
+// its count tracks the evaluations counter.
+func (e *Engine) computeChunk(ctx context.Context, ev robust.Evaluator, pts [][]float64, miss []int, outs []Outcome) {
+	// The copy keeps pts, which is Do's on-stack array, from escaping
+	// into the evaluator call.
 	batch := make([][]float64, len(miss))
 	for j, i := range miss {
 		batch[j] = pts[i]
@@ -89,7 +92,7 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 	start := time.Now() //lint:allow detguard wall-clock pair feeds the latency histogram only, never the evaluated values
 	attempts, err := e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
 		e.obs.evaluations.Add(uint64(len(batch)))
-		err2 := guardedBatch(ctx, be, batch, vals)
+		err2 := guarded(ctx, ev, batch, vals)
 		var pe *robust.PanicError
 		if errors.As(err2, &pe) {
 			e.obs.panics.Add(1)
@@ -97,9 +100,6 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 		return err2
 	})
 	elapsed := time.Since(start) //lint:allow detguard elapsed feeds the latency histogram only, never the evaluated values
-	// One histogram observation per raw evaluation (the amortized
-	// per-point latency), so the eval-seconds count tracks the
-	// evaluations counter, as on computeInner's path.
 	evals := uint64(len(batch)) * uint64(attempts)
 	if evals > 0 {
 		e.obs.evalSeconds.ObserveN(elapsed.Seconds()/float64(evals), evals)
@@ -127,13 +127,20 @@ func (e *Engine) computeChunk(ctx context.Context, be BatchEvaluator, pts [][]fl
 	}
 }
 
-// guardedBatch is robust.Guard for a batch call: a panicking kernel
-// becomes a *robust.PanicError instead of tearing down the stream.
-func guardedBatch(ctx context.Context, be BatchEvaluator, pts [][]float64, vals []float64) (err error) {
+// guarded evaluates pts into vals in one call, EvaluateBatch for a
+// BatchEvaluator and EvaluateCtx for a plain evaluator, whose chunks are
+// always one point (EvaluateStream sizes them so, and Do passes one). A
+// panicking evaluator becomes a *robust.PanicError instead of tearing
+// down the stream.
+func guarded(ctx context.Context, ev robust.Evaluator, pts [][]float64, vals []float64) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = &robust.PanicError{Value: r, Stack: debug.Stack()}
 		}
 	}()
-	return be.EvaluateBatch(ctx, pts, vals)
+	if be, ok := ev.(BatchEvaluator); ok {
+		return be.EvaluateBatch(ctx, pts, vals)
+	}
+	vals[0], err = ev.EvaluateCtx(ctx, pts[0])
+	return err
 }

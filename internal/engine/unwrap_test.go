@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -39,7 +41,7 @@ func TestRetryErrorChainKeepsSentinel(t *testing.T) {
 
 // TestRetryErrorChainExposesPanicError checks the other chain the engine
 // guarantees: a panicking evaluator surfaces as *robust.PanicError via
-// errors.As, with the panic value preserved.
+// errors.As, with the panic value and its stack preserved.
 func TestRetryErrorChainExposesPanicError(t *testing.T) {
 	ev := robust.EvaluatorFunc(func(_ context.Context, _ []float64) (float64, error) {
 		panic("numeric invariant violated")
@@ -53,8 +55,11 @@ func TestRetryErrorChainExposesPanicError(t *testing.T) {
 	if !errors.As(o.Err, &pe) {
 		t.Fatalf("errors.As failed to extract *robust.PanicError from %v", o.Err)
 	}
-	if pe.Value != "numeric invariant violated" {
-		t.Fatalf("panic value = %v", pe.Value)
+	if pe.Value != "numeric invariant violated" || len(pe.Stack) == 0 {
+		t.Fatalf("panic not preserved: value=%v stack=%d bytes", pe.Value, len(pe.Stack))
+	}
+	if !strings.Contains(pe.Error(), "numeric invariant violated") {
+		t.Fatalf("Error() = %q does not name the panic value", pe.Error())
 	}
 	st := e.Stats()
 	if st.Panics == 0 {
@@ -77,5 +82,24 @@ func TestRetryErrorChainInjectedFault(t *testing.T) {
 	}
 	if !errors.Is(o.Err, robust.ErrInjected) {
 		t.Fatalf("errors.Is lost robust.ErrInjected: %v", o.Err)
+	}
+}
+
+// TestFaultyEvaluatorPanicsAndGuardComposition runs the fault injector's
+// panics through the engine's panic guard: with every call panicking, Do
+// reports a *robust.PanicError and a NaN value, and each attempt is one
+// injected and one counted panic.
+func TestFaultyEvaluatorPanicsAndGuardComposition(t *testing.T) {
+	inner := robust.EvaluatorFunc(func(context.Context, []float64) (float64, error) { return 7, nil })
+	f := robust.NewFaulty(inner, 7)
+	f.PPanic = 1 // every call panics
+	e := New(Options{Retry: fastRetry(2)})
+	o := e.Do(context.Background(), f, []float64{1})
+	var pe *robust.PanicError
+	if !errors.As(o.Err, &pe) || !math.IsNaN(o.Value) {
+		t.Fatalf("outcome = %+v, want a *robust.PanicError and NaN", o)
+	}
+	if _, _, panics, _ := f.Counts(); panics != 2 || e.Stats().Panics != 2 || o.Attempts != 2 {
+		t.Fatalf("injected %d panics, counted %d over %d attempts, want 2, 2 and 2", panics, e.Stats().Panics, o.Attempts)
 	}
 }

@@ -1,8 +1,8 @@
 // Package robust provides the resilience primitives behind the
 // long-running exploration pipeline (the §IV design-space sweep and the
-// APS flow): bounded retry with exponential backoff and jitter, a
-// panic-isolating evaluator wrapper, durable file writes, and a seeded
-// fault-injection harness used to test all of the above. The package is
+// APS flow): bounded retry with exponential backoff and jitter, the
+// error a recovered evaluator panic becomes, durable file writes, and a
+// seeded fault-injection harness used to test all of the above. The package is
 // generic — it knows nothing about the design space or the simulator —
 // so every layer of the pipeline (dse, aps, sim-backed evaluators) can
 // share one policy vocabulary.
@@ -11,8 +11,6 @@ package robust
 import (
 	"context"
 	"fmt"
-	"math"
-	"runtime/debug"
 	"sync"
 )
 
@@ -44,20 +42,6 @@ type PanicError struct {
 // Error implements error.
 func (e *PanicError) Error() string {
 	return fmt.Sprintf("robust: evaluator panicked: %v", e.Value)
-}
-
-// Guard wraps an evaluator so that panics during evaluation are isolated
-// into a returned *PanicError instead of tearing down the whole sweep.
-func Guard(e Evaluator) Evaluator {
-	return EvaluatorFunc(func(ctx context.Context, point []float64) (v float64, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				v = math.NaN()
-				err = &PanicError{Value: r, Stack: debug.Stack()}
-			}
-		}()
-		return e.EvaluateCtx(ctx, point)
-	})
 }
 
 // RNG is a splitmix64 generator, safe for concurrent use. It backs the

@@ -3,8 +3,6 @@ package robust
 import (
 	"context"
 	"errors"
-	"math"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -100,36 +98,6 @@ func TestRetryDelayBoundedAndJittered(t *testing.T) {
 	}
 }
 
-func TestGuardIsolatesPanics(t *testing.T) {
-	e := Guard(EvaluatorFunc(func(context.Context, []float64) (float64, error) {
-		panic("kaboom")
-	}))
-	v, err := e.EvaluateCtx(context.Background(), nil)
-	if !math.IsNaN(v) {
-		t.Fatalf("value = %v, want NaN", v)
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("err = %T %v, want *PanicError", err, err)
-	}
-	if pe.Value != "kaboom" || len(pe.Stack) == 0 {
-		t.Fatalf("panic not preserved: value=%v stack=%d bytes", pe.Value, len(pe.Stack))
-	}
-	if !strings.Contains(pe.Error(), "kaboom") {
-		t.Fatalf("Error() = %q does not mention the panic value", pe.Error())
-	}
-}
-
-func TestGuardPassesThroughResults(t *testing.T) {
-	e := Guard(EvaluatorFunc(func(_ context.Context, p []float64) (float64, error) {
-		return p[0] * 2, nil
-	}))
-	v, err := e.EvaluateCtx(context.Background(), []float64{21})
-	if err != nil || v != 42 {
-		t.Fatalf("got (%v, %v), want (42, nil)", v, err)
-	}
-}
-
 func TestFaultyEvaluatorInjectsAtConfiguredRate(t *testing.T) {
 	inner := EvaluatorFunc(func(_ context.Context, p []float64) (float64, error) { return p[0], nil })
 	f := NewFaulty(inner, 99)
@@ -152,21 +120,6 @@ func TestFaultyEvaluatorInjectsAtConfiguredRate(t *testing.T) {
 	calls, failures, panics, stalls := f.Counts()
 	if calls != n || failures != int64(fails) || panics != 0 || stalls != 0 {
 		t.Fatalf("counts = (%d, %d, %d, %d)", calls, failures, panics, stalls)
-	}
-}
-
-func TestFaultyEvaluatorPanicsAndGuardComposition(t *testing.T) {
-	inner := EvaluatorFunc(func(context.Context, []float64) (float64, error) { return 7, nil })
-	f := NewFaulty(inner, 7)
-	f.PPanic = 1 // every call panics
-	guarded := Guard(f)
-	_, err := guarded.EvaluateCtx(context.Background(), nil)
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("guarded faulty evaluator returned %v, want *PanicError", err)
-	}
-	if _, _, panics, _ := f.Counts(); panics != 1 {
-		t.Fatalf("panics = %d, want 1", panics)
 	}
 }
 

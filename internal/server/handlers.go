@@ -199,8 +199,8 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	// One-point stream rather than Do: the stream path takes the engine's
-	// fair-share gate and worker semaphore, so a single-point flood from
+	// One-point stream rather than Do: the stream path takes a slot of
+	// the engine's fair-share gate, so a single-point flood from
 	// one tenant cannot crowd the pool any more than a batch can. In a
 	// cluster the point may resolve on its ring owner's cache instead.
 	var out engine.Outcome
