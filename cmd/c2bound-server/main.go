@@ -241,7 +241,7 @@ func run(cfg runConfig) error {
 		}
 	}
 	if cfg.tracePath != "" {
-		if err := writeTrace(cfg.tracePath, tracer); err != nil {
+		if err := tracer.WriteChromeTraceFile(cfg.tracePath); err != nil {
 			log.Printf("trace: %v", err)
 		}
 	}
@@ -271,17 +271,4 @@ func loadTenants(srv *server.Server, path string) error {
 		return fmt.Errorf("tenants: %w", err)
 	}
 	return nil
-}
-
-// writeTrace dumps the tracer's spans as Chrome trace_event JSON.
-func writeTrace(path string, tracer *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := tracer.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

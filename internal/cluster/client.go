@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
 	"encoding/json"
@@ -296,15 +295,7 @@ func readHeader(br *bufio.Reader, v any) error {
 			return shortBody("header", err)
 		}
 	}
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return errors.New("trailing data after the header")
-	}
-	return nil
+	return decodeStrict(line, v)
 }
 
 // shortBody names a body that ended before its payload did.

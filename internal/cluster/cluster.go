@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -47,15 +48,24 @@ func LoadPeersFile(path string) (Config, error) {
 		return Config{}, fmt.Errorf("cluster: %w", err)
 	}
 	var cfg Config
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
+	if err := decodeStrict(data, &cfg); err != nil {
 		return Config{}, fmt.Errorf("cluster: peers file %q: %w", path, err)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		return Config{}, fmt.Errorf("cluster: peers file %q: trailing data after JSON document", path)
-	}
 	return cfg, nil
+}
+
+// decodeStrict decodes data as one JSON document into v, rejecting
+// unknown fields and trailing data.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON document")
+	}
+	return nil
 }
 
 // validate checks the membership table (self resolved already).

@@ -69,64 +69,44 @@ type errorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// validationError marks request-content failures so classify maps them to
-// CodeValidation rather than CodeInternal.
-type validationError struct{ msg string }
+// statusError is a request failure with a fixed envelope: classify
+// maps it to its own status and code, and its message is the envelope's.
+type statusError struct {
+	status int
+	code   string
+	msg    string
+}
 
-func (e *validationError) Error() string { return e.msg }
+func (e *statusError) Error() string { return e.msg }
 
-// validationf builds a validation error.
+// validationf builds a request-content failure (400 validation).
 func validationf(format string, args ...interface{}) error {
-	return &validationError{msg: fmt.Sprintf(format, args...)}
+	return &statusError{http.StatusBadRequest, CodeValidation, fmt.Sprintf(format, args...)}
 }
 
-// notFoundError marks unknown-catalog-entry failures.
-type notFoundError struct{ msg string }
-
-func (e *notFoundError) Error() string { return e.msg }
-
-// notFoundf builds a not-found error.
+// notFoundf builds an unknown-catalog-entry failure (404 not_found).
 func notFoundf(format string, args ...interface{}) error {
-	return &notFoundError{msg: fmt.Sprintf(format, args...)}
+	return &statusError{http.StatusNotFound, CodeNotFound, fmt.Sprintf(format, args...)}
 }
 
-// unauthorizedError marks API-key failures.
-type unauthorizedError struct{ msg string }
-
-func (e *unauthorizedError) Error() string { return e.msg }
-
-// unauthorizedf builds an unauthorized error.
+// unauthorizedf builds an API-key failure (401 unauthorized).
 func unauthorizedf(format string, args ...interface{}) error {
-	return &unauthorizedError{msg: fmt.Sprintf(format, args...)}
+	return &statusError{http.StatusUnauthorized, CodeUnauthorized, fmt.Sprintf(format, args...)}
 }
 
-// conflictError marks live-state contention failures (409).
-type conflictError struct{ msg string }
-
-func (e *conflictError) Error() string { return e.msg }
-
-// conflictf builds a conflict error.
+// conflictf builds a live-state contention failure (409 conflict).
 func conflictf(format string, args ...interface{}) error {
-	return &conflictError{msg: fmt.Sprintf(format, args...)}
+	return &statusError{http.StatusConflict, CodeConflict, fmt.Sprintf(format, args...)}
 }
 
 // classify maps an error from the evaluation stack onto the stable
 // (HTTP status, code, details) triple of the envelope contract.
 func classify(err error) (int, ErrorBody) {
-	var ve *validationError
-	var nf *notFoundError
-	var ue *unauthorizedError
-	var cf *conflictError
+	var se *statusError
 	var pe *robust.PanicError
 	switch {
-	case errors.As(err, &nf):
-		return http.StatusNotFound, ErrorBody{Code: CodeNotFound, Message: nf.msg}
-	case errors.As(err, &ue):
-		return http.StatusUnauthorized, ErrorBody{Code: CodeUnauthorized, Message: ue.msg}
-	case errors.As(err, &cf):
-		return http.StatusConflict, ErrorBody{Code: CodeConflict, Message: cf.msg}
-	case errors.As(err, &ve):
-		return http.StatusBadRequest, ErrorBody{Code: CodeValidation, Message: ve.msg}
+	case errors.As(err, &se):
+		return se.status, ErrorBody{Code: se.code, Message: se.msg}
 	case errors.Is(err, core.ErrInvalidApp):
 		return http.StatusBadRequest, ErrorBody{Code: CodeValidation, Message: err.Error()}
 	case errors.As(err, &pe):

@@ -30,11 +30,10 @@ type fairShare struct {
 	mu       sync.Mutex
 	capacity int
 	inUse    int
-	// quota enforces per-tenant MaxConcurrent, and shed per-tenant (and
-	// global) queue bounds; both are on for the admission gate and off
-	// for the engine point gate.
+	// quota enforces per-tenant MaxConcurrent and, in acquire, the
+	// per-tenant (and global) queue bounds; it is on for the admission
+	// gate and off for the engine point gate.
 	quota bool
-	shed  bool
 	// globalQueue bounds total pending waiters when shedding (the
 	// server's memory bound, exactly the old admission MaxQueue);
 	// defaultQueue bounds one tenant with no MaxQueue of its own.
@@ -74,7 +73,6 @@ func newFairShare(capacity int, quota bool, globalQueue, defaultQueue int) *fair
 	return &fairShare{
 		capacity:     capacity,
 		quota:        quota,
-		shed:         quota,
 		globalQueue:  globalQueue,
 		defaultQueue: defaultQueue,
 		queues:       make(map[string]*fsQueue),
@@ -96,7 +94,7 @@ func (f *fairShare) setCapacity(n int) {
 // overflows. On nil error the caller owns a slot and must call the
 // returned release exactly once.
 func (f *fairShare) acquire(ctx context.Context, t *tenantState) (func(), error) {
-	return f.acquireShed(ctx, t, f.shed)
+	return f.acquireShed(ctx, t, f.quota)
 }
 
 // acquireWait is acquire without the shed bounds: the caller waits for
