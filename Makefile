@@ -92,6 +92,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzDecodePeerEval -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzReadPeerEvalRequest -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzLoadTenantsFile -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzResolveModel -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzLoadPeersFile -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzValueListMatchesElementwise -fuzztime 10s ./internal/server
 

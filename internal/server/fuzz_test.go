@@ -139,6 +139,77 @@ func FuzzLoadTenantsFile(f *testing.F) {
 	})
 }
 
+// FuzzResolveModel holds the catalog's model resolution to determinism
+// on arbitrary spec bytes: a spec that decodes resolves the same way
+// twice, to one fingerprint that its re-marshalled form resolves to
+// again, or fails twice with one status and code. Messages are not
+// compared: overrides are checked in map order, so a spec with two bad
+// keys may name either.
+func FuzzResolveModel(f *testing.F) {
+	for _, seed := range []string{
+		`{"app":"tmm"}`,
+		`{"app":"fft","overrides":{"fseq":0.1,"ic0":3e9}}`,
+		`{"schema":"catalog/2","app":"stencil","family":"gpu","params":{"m_fma":0.7,"f_fp32":0.2,"lane_area":0.04,"sm_area":3}}`,
+		`{"schema":"catalog/2","app":"fluidanimate","family":"commsync","params":{"delta_sync":0,"delta_comm":1}}`,
+		`{"app":"tmm","overrides":{"fseq":0,"fmem":1,"overlap":1,"ch":1,"cm":1,"pmr_ratio":0,"pamp_ratio":0,"ic0":5e-324}}`,
+		`{"app":"tmm","chip":{"total_area":1e-6,"fixed_area":0,"l1_density_kb":1e-6,"l2_density_kb":1e-6,"l1_hit_cycles":0,"mem_bandwidth":1e-6,"pollack_k0":0,"pollack_phi0":0}}`,
+		`{"app":"tmm","chip":{"mem_latency":1.7976931348623157e308,"queue_sensitivity":1.7976931348623157e308}}`,
+		`{"app":"tmm","overrides":{"fseq":1.5}}`,
+		`{"app":"tmm","overrides":{"fseq":-1,"fmem":2}}`,
+		`{"app":"tmm","chip":{"total_area":0}}`,
+		`{"app":"tmm","overrides":{"speed":1}}`,
+		`{"app":"tmm","chip":{"warp":1}}`,
+		`{"schema":"catalog/2","app":"tmm","family":"gpu","params":{"m_fma":2}}`,
+		`{"schema":"catalog/2","app":"tmm","family":"gpu","params":{"lanes":1}}`,
+		`{"schema":"catalog/3","app":"tmm"}`,
+		`{"schema":"catalog/2","app":"tmm","family":"tpu"}`,
+		`{"app":"doom"}`,
+		`{"app":"tmm","extra":1}`,
+		`{"app":"tmm"}{"app":"fft"}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	cat := DefaultCatalog()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec ModelSpec
+		if err := decodeStrict(bytes.NewReader(data), &spec); err != nil {
+			return
+		}
+		m1, err1 := cat.ResolveModel(spec)
+		m2, err2 := cat.ResolveModel(spec)
+		if (err1 == nil) != (err2 == nil) {
+			t.Fatalf("resolving %s twice: %v, then %v", data, err1, err2)
+		}
+		if err1 != nil {
+			s1, b1 := classify(err1)
+			s2, b2 := classify(err2)
+			if s1 != s2 || b1.Code != b2.Code {
+				t.Fatalf("resolving %s twice failed as %d %s, then %d %s", data, s1, b1.Code, s2, b2.Code)
+			}
+			return
+		}
+		fp := m1.Fingerprint()
+		if m2.Fingerprint() != fp {
+			t.Fatalf("resolving %s twice gave fingerprints\n%s\n%s", data, fp, m2.Fingerprint())
+		}
+		again, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("decoded spec does not encode: %v", err)
+		}
+		var spec2 ModelSpec
+		if err := decodeStrict(bytes.NewReader(again), &spec2); err != nil {
+			t.Fatalf("re-marshalled spec %s does not decode: %v", again, err)
+		}
+		m3, err := cat.ResolveModel(spec2)
+		if err != nil {
+			t.Fatalf("re-marshalled spec %s does not resolve: %v", again, err)
+		}
+		if m3.Fingerprint() != fp {
+			t.Fatalf("round trip %s → %s changed the fingerprint", data, again)
+		}
+	})
+}
+
 // legacySweepJobResult is SweepJobResult with the []jsonFloat value list
 // it carried before valueList: the reference for the bytes of sweep
 // frames and job records.
