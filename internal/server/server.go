@@ -192,9 +192,9 @@ func New(opts Options) *Server {
 		metrics = obs.NewRegistry()
 	}
 	ts := newTenants(metrics)
-	// The point-level fair-share gate arbitrates the engine's worker pool
-	// per tenant; its capacity is set once the engine has resolved its
-	// worker count.
+	// The point-level fair-share gate is the engine's worker pool, granted
+	// per tenant: it replaces the engine's own semaphore, so its capacity
+	// is the engine's worker count, set once the engine has resolved it.
 	gate := newFairShare(1, false, 0, 0)
 	eng := engine.New(engine.Options{
 		Workers:   opts.Workers,
