@@ -93,9 +93,13 @@ func (e *Engine) computeChunk(ctx context.Context, ev robust.Evaluator, pts [][]
 	attempts, err := e.retry.Do(ctx, e.rng, func(ctx context.Context) error {
 		e.obs.evaluations.Add(uint64(len(batch)))
 		err2 := guarded(ctx, ev, batch, vals)
-		var pe *robust.PanicError
-		if errors.As(err2, &pe) {
-			e.obs.panics.Add(1)
+		if err2 != nil {
+			// pe escapes into errors.As; declaring it here keeps a
+			// successful attempt free of that allocation.
+			var pe *robust.PanicError
+			if errors.As(err2, &pe) {
+				e.obs.panics.Add(1)
+			}
 		}
 		return err2
 	})

@@ -205,7 +205,7 @@ func TestEvaluateBatchLengthMismatch(t *testing.T) {
 // TestWarmHitZeroAllocs pins the memo hot path: a warm hit — the
 // per-point unit the old exact-bytes key allocated a string for —
 // performs zero allocations, and a miss of a one-point Do stays within
-// the five allocations of its registration, computation and memo insert.
+// the four allocations of its registration, computation and memo insert.
 func TestWarmHitZeroAllocs(t *testing.T) {
 	e := New(Options{Workers: 1})
 	// The conversion to the interface happens once here: a concrete Func
@@ -238,8 +238,8 @@ func TestWarmHitZeroAllocs(t *testing.T) {
 			t.Fatalf("expected a miss, got %+v", o)
 		}
 	})
-	if allocs > 5 {
-		t.Fatalf("one-point miss allocates %.1f objects/op, want at most 5", allocs)
+	if allocs > 4 {
+		t.Fatalf("one-point miss allocates %.1f objects/op, want at most 4", allocs)
 	}
 }
 
