@@ -95,6 +95,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzResolveModel -fuzztime 10s ./internal/server
 	$(GO) test -run XXX -fuzz FuzzLoadPeersFile -fuzztime 10s ./internal/cluster
 	$(GO) test -run XXX -fuzz FuzzValueListMatchesElementwise -fuzztime 10s ./internal/server
+	$(GO) test -run XXX -fuzz FuzzBatchKernelMatchesTimeAt -fuzztime 10s ./internal/model
 
 clean:
 	$(GO) clean ./...

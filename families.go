@@ -22,7 +22,11 @@ type (
 	// FamilyModel is the family contract: fingerprint, space, compile.
 	FamilyModel = model.Model
 	// ModelKernel is a compiled family objective: allocation-free
-	// TimeAt/TimeWorkAt, bit-identical to the direct evaluation.
+	// TimeAt/TimeWorkAt, bit-identical to the direct evaluation. A
+	// kernel that also has TimeAtBatch(points [][]float64, out
+	// []float64) is driven through it on the batched sweep path; it must
+	// write out[i] = TimeAt(points[i]) bit for bit and keep any reuse
+	// state in the call.
 	ModelKernel = model.Kernel
 	// ModelFamily describes one registered family: name, doc, parameter
 	// domains, constructor.

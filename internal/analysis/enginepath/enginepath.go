@@ -12,8 +12,9 @@
 // packages dse, aps, core and model — the batch plane (BatchEvaluator)
 // bypasses the engine exactly as readily as the scalar one. Since the
 // model-family redesign it also flags interface-dispatched
-// TimeAt/TimeWorkAt: a model.Kernel driven through the interface is an
-// evaluation the engine never sees, exactly like an Evaluator bypass.
+// TimeAt/TimeWorkAt, and TimeAtBatch for the optional model.BatchKernel:
+// a kernel driven through an interface is an evaluation the engine never
+// sees, exactly like an Evaluator bypass.
 // Calls on concrete types (the engine itself, core.Model's analytic
 // evaluation, a family's own folded kernel struct) are the sanctioned
 // paths and pass untouched. The engine's own entry adapters carry
@@ -46,6 +47,7 @@ var flaggedNames = map[string]string{
 	"EvaluateBatch": "Evaluator",
 	"TimeAt":        "Kernel",
 	"TimeWorkAt":    "Kernel",
+	"TimeAtBatch":   "Kernel",
 }
 
 func run(pass *analysis.Pass) error {

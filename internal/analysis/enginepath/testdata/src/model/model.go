@@ -1,7 +1,7 @@
 // Package model is an enginepath fixture; its name places it in the
 // analyzer's guarded-package set. Since the model-family redesign the
-// Kernel plane (TimeAt/TimeWorkAt) is guarded exactly like the
-// Evaluator plane.
+// Kernel plane (TimeAt/TimeWorkAt, and TimeAtBatch of the optional batch
+// kernel) is guarded exactly like the Evaluator plane.
 package model
 
 // Kernel mirrors the model-family kernel interface.
@@ -10,11 +10,18 @@ type Kernel interface {
 	TimeWorkAt(point []float64) (float64, float64, bool)
 }
 
+// BatchKernel mirrors the optional batched kernel interface.
+type BatchKernel interface {
+	Kernel
+	TimeAtBatch(points [][]float64, out []float64)
+}
+
 // folded is a concrete kernel standing in for a family's folded struct.
 type folded struct{}
 
 func (folded) TimeAt(point []float64) float64                      { return 0 }
 func (folded) TimeWorkAt(point []float64) (float64, float64, bool) { return 0, 0, true }
+func (folded) TimeAtBatch(points [][]float64, out []float64)       {}
 
 func bypassesKernel(k Kernel) float64 {
 	return k.TimeAt(nil) // want "TimeAt through the Kernel interface bypasses internal/engine"
@@ -22,6 +29,14 @@ func bypassesKernel(k Kernel) float64 {
 
 func bypassesKernelPair(k Kernel) (float64, float64, bool) {
 	return k.TimeWorkAt(nil) // want "TimeWorkAt through the Kernel interface bypasses internal/engine"
+}
+
+func bypassesBatchKernel(k BatchKernel, out []float64) {
+	k.TimeAtBatch(nil, out) // want "TimeAtBatch through the Kernel interface bypasses internal/engine"
+}
+
+func sanctionedConcreteBatch(f folded, out []float64) {
+	f.TimeAtBatch(nil, out)
 }
 
 func sanctionedConcrete(f folded) float64 {

@@ -29,9 +29,10 @@ func SpaceFor(m model.Model, per int) (Space, error) {
 // FamilyEvaluator scores configurations with any registered model
 // family, the c2bound paper objective included: the scalar path uses
 // the family's direct (uncompiled) evaluation, whole planes ride the
-// engine's batched path through the compiled kernel, and the family
-// contract makes the two bit-identical. Use by pointer — the lazy
-// compile state must not be copied.
+// engine's batched path through the compiled kernel (its TimeAtBatch
+// when the kernel is a model.BatchKernel, a TimeAt loop otherwise), and
+// the family contract makes the paths bit-identical. Use by pointer —
+// the lazy compile state must not be copied.
 type FamilyEvaluator struct {
 	M model.Model
 
@@ -96,30 +97,35 @@ func (e *FamilyEvaluator) EvaluateCtx(ctx context.Context, point []float64) (flo
 
 // EvaluateBatch implements engine.BatchEvaluator: the whole plane runs
 // through the compiled kernel (constants folded once), bit-identical to
-// per-point Evaluate by the family contract. A model the compiler
-// rejects falls back to the scalar path so the two paths can never
-// disagree.
+// per-point Evaluate by the family contract. It walks the plane in
+// slices of at most 256 points, checking ctx before each: a slice goes
+// to the kernel's TimeAtBatch when it has one (the c2bound kernel
+// computes each design once per run of points sharing it), and to a
+// TimeAt loop otherwise. A model the compiler rejects falls back to the
+// scalar path so the two paths can never disagree.
 func (e *FamilyEvaluator) EvaluateBatch(ctx context.Context, points [][]float64, out []float64) error {
 	k, err := e.compile()
-	if err != nil {
-		for i, p := range points {
-			if i&255 == 0 {
-				if cerr := ctx.Err(); cerr != nil {
-					return cerr
-				}
-			}
-			out[i] = e.Evaluate(p)
+	bk, _ := k.(model.BatchKernel)
+	for lo := 0; lo < len(points); lo += 256 {
+		if cerr := ctx.Err(); cerr != nil {
+			return cerr
 		}
-		return nil
-	}
-	for i, p := range points {
-		if i&255 == 0 {
-			if cerr := ctx.Err(); cerr != nil {
-				return cerr
+		hi := min(lo+256, len(points))
+		pts, vals := points[lo:hi], out[lo:hi]
+		switch {
+		case err != nil:
+			for i, p := range pts {
+				vals[i] = e.Evaluate(p)
+			}
+		case bk != nil:
+			//lint:allow enginepath FamilyEvaluator is the engine adapter itself; consumers reach this kernel call through Engine.EvaluateStream
+			bk.TimeAtBatch(pts, vals)
+		default:
+			for i, p := range pts {
+				//lint:allow enginepath FamilyEvaluator is the engine adapter itself; consumers reach this kernel call through Engine.EvaluateStream
+				vals[i] = k.TimeAt(p)
 			}
 		}
-		//lint:allow enginepath FamilyEvaluator is the engine adapter itself; consumers reach this kernel call through Engine.EvaluateStream
-		out[i] = k.TimeAt(p)
 	}
 	return nil
 }

@@ -141,6 +141,41 @@ func (k c2Kernel) TimeAt(point []float64) float64 {
 	return t
 }
 
+// TimeAtBatch implements BatchKernel. The Eq. 10 time depends only on
+// the design (A0, A1, A2, N); issue width and ROB size enter through
+// c2Correct alone. A row-major sweep steps them fastest, so it meets
+// each design in a run of consecutive points, and the design's time is
+// computed once per run. The design key compares bits, not values, so
+// ±0 and NaN coordinates never share a result by accident; the reused
+// time is the same pure function of the same inputs, so every value is
+// bit-identical to TimeAt's.
+func (k c2Kernel) TimeAtBatch(points [][]float64, out []float64) {
+	var (
+		prev     chip.Design
+		t        float64
+		ok, have bool
+	)
+	for i, p := range points {
+		d, valid := c2Design(p)
+		if !valid {
+			out[i] = math.Inf(1)
+			continue
+		}
+		if !have || d.N != prev.N ||
+			math.Float64bits(d.CoreArea) != math.Float64bits(prev.CoreArea) ||
+			math.Float64bits(d.L1Area) != math.Float64bits(prev.L1Area) ||
+			math.Float64bits(d.L2Area) != math.Float64bits(prev.L2Area) {
+			t, _, ok = k.c.TimeWorkAt(d)
+			prev, have = d, true
+		}
+		if !ok {
+			out[i] = math.Inf(1)
+			continue
+		}
+		out[i] = c2Correct(t, p)
+	}
+}
+
 // TimeWorkAt implements Kernel.
 func (k c2Kernel) TimeWorkAt(point []float64) (t, w float64, ok bool) {
 	d, ok := c2Design(point)

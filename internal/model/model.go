@@ -20,6 +20,14 @@
 // evaluation — constants may be folded only when folding repeats the
 // identical operation on identical inputs. Families implement Direct so
 // the differential tests can enforce this over guard-crossing grids.
+//
+// A kernel may also implement BatchKernel, whose TimeAtBatch scores a
+// slice of points in one call so it can reuse work that consecutive
+// points share (the c2bound kernel computes each design's Eq. 10 time
+// once per run of points that differ only in issue width and ROB size).
+// Two rules bind it: out[i] is bit-identical to TimeAt(points[i]) for
+// any points in any order, and every piece of reuse state lives in the
+// call, because one kernel is shared by all of an engine's workers.
 package model
 
 import (
@@ -59,6 +67,18 @@ type Kernel interface {
 	// work of the point, ok=false for infeasible points — the pair
 	// throughput-style metrics (time per work) are built from.
 	TimeWorkAt(point []float64) (t, w float64, ok bool)
+}
+
+// BatchKernel is the optional batched form of Kernel, for kernels that
+// can share work between consecutive points of a sweep plane.
+// dse.FamilyEvaluator drives it on the engine's batched path and falls
+// back to a TimeAt loop for kernels without it.
+type BatchKernel interface {
+	Kernel
+	// TimeAtBatch writes out[i] = TimeAt(points[i]), bit for bit, for
+	// every i; len(out) must be at least len(points). Any reuse state
+	// lives in the call, never in the kernel.
+	TimeAtBatch(points [][]float64, out []float64)
 }
 
 // Direct is the optional uncompiled reference evaluation of a family.
