@@ -74,26 +74,6 @@ func mismatch(k BatchKernel, points [][]float64, out []float64) error {
 	return nil
 }
 
-// rowMajorGrid is the family's per-value sweep plane in a sweep's
-// order: the last dimension steps fastest.
-func rowMajorGrid(t testing.TB, s Space, per int) [][]float64 {
-	grids, err := s.Grids(per)
-	if err != nil {
-		t.Fatal(err)
-	}
-	points := [][]float64{nil}
-	for _, g := range grids {
-		next := make([][]float64, 0, len(points)*len(g))
-		for _, p := range points {
-			for _, v := range g {
-				next = append(next, append(slices.Clip(p), v))
-			}
-		}
-		points = next
-	}
-	return points
-}
-
 // c2Sequences are hand-built c2bound point runs, each aimed at one way
 // a design memo can go wrong. base is a feasible §IV grid point.
 func c2Sequences(s Space) map[string][][]float64 {
@@ -143,9 +123,13 @@ func c2Sequences(s Space) map[string][][]float64 {
 func TestBatchKernelMatchesTimeAt(t *testing.T) {
 	for _, f := range batchFamilies(t) {
 		t.Run(f.name, func(t *testing.T) {
+			grids, err := f.m.Space().Grids(6)
+			if err != nil {
+				t.Fatal(err)
+			}
 			sets := map[string][][]float64{
 				"guard-crossing sample": guardCrossingGridSampled(f.m.Space(), 4000),
-				"per=6 grid row-major":  rowMajorGrid(t, f.m.Space(), 6),
+				"per=6 grid row-major":  cartesian(grids),
 			}
 			if f.name == FamilyC2Bound {
 				for name, seq := range c2Sequences(f.m.Space()) {

@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -106,29 +107,30 @@ func TestFingerprintNamespacing(t *testing.T) {
 	}
 }
 
-// guardCrossingGrid builds the differential-test point set for a family:
-// the full cartesian product of its declared grids extended with
-// out-of-domain and boundary extras per dimension, so the set crosses
+// guardCrossingDims extends each dimension's declared grid with
+// out-of-domain and boundary extras, so a product over them crosses
 // every feasibility guard (area limits, positivity, unit intervals).
-func guardCrossingGrid(s Space) [][]float64 {
+func guardCrossingDims(s Space) [][]float64 {
 	dims := make([][]float64, len(s.Params))
 	for i, p := range s.Params {
-		vals := append([]float64(nil), p.Grid...)
-		vals = append(vals, p.Lo, p.Hi, p.Lo-1, p.Hi*2, 0, -1)
-		dims[i] = vals
+		dims[i] = append(slices.Clone(p.Grid), p.Lo, p.Hi, p.Lo-1, p.Hi*2, 0, -1)
 	}
-	var points [][]float64
-	var rec func(i int, acc []float64)
-	rec = func(i int, acc []float64) {
-		if i == len(dims) {
-			points = append(points, append([]float64(nil), acc...))
-			return
+	return dims
+}
+
+// cartesian is the product of dims in a sweep's row-major order: the
+// last dimension steps fastest.
+func cartesian(dims [][]float64) [][]float64 {
+	points := [][]float64{nil}
+	for _, d := range dims {
+		next := make([][]float64, 0, len(points)*len(d))
+		for _, p := range points {
+			for _, v := range d {
+				next = append(next, append(slices.Clip(p), v))
+			}
 		}
-		for _, v := range dims[i] {
-			rec(i+1, append(acc, v))
-		}
+		points = next
 	}
-	rec(0, nil)
 	return points
 }
 
@@ -158,7 +160,7 @@ func TestCompiledMatchesDirectBitIdentical(t *testing.T) {
 				// product; stride-sample it deterministically instead.
 				points = guardCrossingGridSampled(m.Space(), 4000)
 			} else {
-				points = guardCrossingGrid(m.Space())
+				points = cartesian(guardCrossingDims(m.Space()))
 			}
 			feasible, infeasible := 0, 0
 			for _, p := range points {
@@ -195,17 +197,14 @@ func TestCompiledMatchesDirectBitIdentical(t *testing.T) {
 	}
 }
 
-// guardCrossingGridSampled walks the same extended grids as
-// guardCrossingGrid but takes a deterministic stride so at most maxN
-// points come back (needed for the six-dimensional c2bound family).
+// guardCrossingGridSampled walks the product of guardCrossingDims with
+// a deterministic stride so at most maxN points come back (needed for
+// the six-dimensional c2bound family).
 func guardCrossingGridSampled(s Space, maxN int) [][]float64 {
-	dims := make([][]float64, len(s.Params))
+	dims := guardCrossingDims(s)
 	total := 1
-	for i, p := range s.Params {
-		vals := append([]float64(nil), p.Grid...)
-		vals = append(vals, p.Lo, p.Hi, p.Lo-1, p.Hi*2, 0, -1)
-		dims[i] = vals
-		total *= len(vals)
+	for _, d := range dims {
+		total *= len(d)
 	}
 	stride := total/maxN + 1
 	points := make([][]float64, 0, maxN)
